@@ -20,7 +20,7 @@ from typing import Sequence
 from .enumeration import enumerate_shp, enumerate_spm
 from .formula import iter_blocker_specs, parse_blocker_spec, realize
 from .geometry import Context, Edge, SimplePath, format_edge_set, is_simple_hamiltonian_path, parse_edge_set
-from .hitting import SetSystem, SolverConfig, directional_blocker_search, min_hitting_sets
+from .hitting import SetSystem, SolverConfig, min_hitting_sets
 from .render import Layer, RenderSpec, render_svg
 from .verification import verify_theorems
 from .witnesses import P1Params, Prop1Params, build_p0, build_p1, build_prop1_path, prop1_special_edges
@@ -93,7 +93,6 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     leaves.append(p)
     p.add_argument("--m", type=int)
     p.add_argument("--family", choices=["spm", "shp"])
-    p.add_argument("--algorithm", choices=["generic", "directional"], default="generic")
     p.add_argument("--node-limit", type=int, default=SolverConfig().node_limit)
     p.add_argument("--out")
 
@@ -130,9 +129,36 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     p.add_argument("--out")
 
     if defaults:
+        _check_config(defaults, leaves)
         for q in [parser, *leaves]:
             q.set_defaults(**defaults)
     return parser
+
+
+def _config_value_ok(action: argparse.Action, value) -> bool:
+    """Could parsing the option's own flag have produced this value?"""
+    if action.nargs == 0:  # --x and --x/--no-x switches
+        return isinstance(value, bool)
+    if isinstance(action, argparse._AppendAction):
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    want = action.type or str
+    if not isinstance(value, want) or isinstance(value, bool):
+        return False
+    return action.choices is None or value in action.choices
+
+
+def _check_config(defaults: dict, leaves: list[argparse.ArgumentParser]) -> None:
+    """Reject config keys no subcommand defines and values of the wrong type."""
+    actions: dict[str, list[argparse.Action]] = {}
+    for q in leaves:
+        for action in q._actions:
+            if action.dest != "help":
+                actions.setdefault(action.dest, []).append(action)
+    for key, value in defaults.items():
+        if key not in actions:
+            raise _UsageError(f"config key {key!r} is not an option of any subcommand (keys use underscores)")
+        if not all(_config_value_ok(action, value) for action in actions[key]):
+            raise _UsageError(f"config key {key!r} has a value its option does not accept: {value!r}")
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -191,16 +217,6 @@ def _cmd_blockers_exact(args: argparse.Namespace) -> int:
         sets = list(enumerate_spm(ctx))
     else:
         sets = [p.edge_set() for p in enumerate_shp(ctx)]
-    if args.algorithm == "directional":
-        result = directional_blocker_search(ctx, sets)
-        payload = {
-            "min_size": ctx.m if result.solutions else -1,
-            "solutions": [[ctx.edge_index(e) for e in sorted(s)] for s in result.solutions],
-            "status": "complete",
-            "nodes": result.nodes,
-        }
-        _emit([_dumps(payload)], args.out)
-        return EXIT_OK
     system = SetSystem(
         ground_size=ctx.num_edges,
         sets=tuple(tuple(ctx.edge_index(e) for e in sorted(s)) for s in sets),

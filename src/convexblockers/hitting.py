@@ -1,35 +1,43 @@
 """Exact minimum hitting sets.
 
-min_hitting_sets is the trust anchor of the toolkit: a branch-and-bound
-search over an abstract SetSystem that returns the exact minimum size and
-*all* optimal solutions. It sees nothing but index sets, so its answers are
-independent of any geometric reasoning they are later compared against.
+min_hitting_sets is the trust anchor of the toolkit: it returns the exact
+minimum size and *all* optimal solutions of an abstract SetSystem. It sees
+nothing but index sets, so its answers are independent of any geometric
+reasoning they are later compared against.
 
-Bounds are deliberately simple: the lower bound is the number of still-unhit
-members of a few precomputed pairwise-disjoint packings (each needs its own
-element), the upper bound is a greedy cover. Search state lives in Python
-big-int bitmasks over member indices, which keeps the per-node cost at a
-handful of word operations even for thousands of members.
+The search has two phases, both sound by packing duality alone:
 
-directional_blocker_search is the geometric counterpart: it scans only
-candidates with one edge per odd direction class, pruned by deadline masks.
-Its agreement with the generic solver is established by tests, never assumed.
+1. Tight transversals. A greedy packing of pairwise-disjoint members, taken
+   in order of increasing weight (the sum of the member's element
+   frequencies), proves that the minimum is at least its size p. If some
+   hitting set of size p exists, every optimum takes exactly one element
+   from each packed member and nothing else. So the phase scans only those
+   transversals, pruned by deadline masks: after each packing position,
+   every member that no later position can hit must already be hit. If a
+   transversal survives, the minimum is p and the survivors are all optima.
+2. Branch and bound, run only when no transversal survives (the minimum then
+   exceeds p). It branches on the elements of the first unhit member; its
+   lower bound is the number of still-unhit members of a few greedy
+   packings, the min-weight one among them (each unhit packed member needs
+   its own element); its upper bound is a greedy cover.
+
+Search state lives in Python big-int bitmasks over member indices, which
+keeps the per-node cost at a handful of word operations even for thousands
+of members. Both phases count nodes against SolverConfig.node_limit.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
-from .geometry import Context, Edge, EdgeSet
+from .geometry import EdgeSet
 
 __all__ = [
-    "DirectionalResult",
     "SetSystem",
     "SolverConfig",
     "SolverResult",
-    "directional_blocker_search",
     "is_blocking_set",
     "min_hitting_sets",
 ]
@@ -104,6 +112,16 @@ class SolverResult:
         )
 
 
+def _coverage(members: Sequence[Sequence[int]]) -> dict[int, int]:
+    """Map each element to the bitmask of the member indices that contain it."""
+    cov: dict[int, int] = {}
+    for i, s in enumerate(members):
+        bit = 1 << i
+        for e in s:
+            cov[e] = cov.get(e, 0) | bit
+    return cov
+
+
 def _greedy_packings(masks: list[int]) -> list[int]:
     """A few pairwise-disjoint subfamilies, returned as member-index bitmasks.
 
@@ -125,14 +143,83 @@ def _greedy_packings(masks: list[int]) -> list[int]:
     return packings
 
 
+def _min_weight_packing(members: Sequence[Sequence[int]], cov: dict[int, int]) -> list[int]:
+    """Pairwise-disjoint member indices, taken greedily by (weight, index).
+
+    A member's weight is the sum of its elements' frequencies: members made
+    of rarely used elements block few others, so taking them first tends to
+    pack more members than a scan in input order.
+    """
+    freq = {e: c.bit_count() for e, c in cov.items()}
+    weights = [sum(map(freq.__getitem__, s)) for s in members]
+    used: set[int] = set()
+    packing = []
+    # sorted() is stable, so equal weights keep index order.
+    for i in sorted(range(len(members)), key=weights.__getitem__):
+        if used.isdisjoint(members[i]):
+            used.update(members[i])
+            packing.append(i)
+    return packing
+
+
+def _tight_transversals(
+    members: Sequence[Sequence[int]], cov: dict[int, int], tick: Callable[[], None]
+) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The min-weight packing and every hitting set that is a transversal of it.
+
+    Returns (packing, solutions): packing lists member indices in scan order,
+    solutions holds every hitting set with one element from each packed
+    member, sorted. The packing proves that the minimum is at least
+    len(packing), so nonempty solutions are exactly the optima; empty
+    solutions prove that the minimum exceeds len(packing). tick() is called
+    once per element tried and may raise NodeLimitExceeded.
+    """
+    packing = _min_weight_packing(members, cov)
+    slots = [members[i] for i in packing]
+    p = len(slots)
+    full = (1 << len(members)) - 1
+    # reach[j]: members that an element of slot j or a later slot can hit.
+    # The packing is maximal, so every member meets some slot: reach[0] is full.
+    reach = [0] * (p + 1)
+    for j in range(p - 1, -1, -1):
+        acc = reach[j + 1]
+        for e in slots[j]:
+            acc |= cov[e]
+        reach[j] = acc
+    # due[j]: members past their deadline once slot j is filled; they must be hit.
+    due = [full ^ reach[j + 1] for j in range(p)]
+
+    solutions: list[tuple[int, ...]] = []
+    chosen: list[int] = []
+
+    def rec(j: int, hit: int) -> None:
+        for e in slots[j]:
+            tick()
+            h = hit | cov[e]
+            if due[j] & ~h:
+                continue
+            chosen.append(e)
+            if j == p - 1:
+                solutions.append(tuple(sorted(chosen)))
+            else:
+                rec(j + 1, h)
+            chosen.pop()
+
+    rec(0, 0)
+    solutions.sort()
+    return packing, solutions
+
+
 def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> SolverResult:
     """Exact minimum-size hitting sets of a set system, all of them.
 
-    Branches on the elements of the lowest-index unhit member (members are
-    pre-sorted by size so that branch factors stay small), prunes with the
-    packing lower bound, and deduplicates solutions found along different
-    branch orders. Two phases: prove the minimum size, then enumerate every
-    solution of exactly that size.
+    First tries the tight-transversal phase (see the module docstring). When
+    the minimum exceeds the min-weight packing, falls back to branch and
+    bound: it branches on the elements of the lowest-index unhit member
+    (members are pre-sorted by size so that branch factors stay small),
+    prunes with the packing lower bound, and deduplicates solutions found
+    along different branch orders, in two passes: prove the minimum size,
+    then enumerate every solution of exactly that size.
     """
     if config is None:
         config = SolverConfig()
@@ -144,14 +231,7 @@ def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> S
     unique = sorted(set(system.sets), key=lambda s: (len(s), s))
     k = len(unique)
     full = (1 << k) - 1
-    elem_lists = [list(s) for s in unique]
-    cov: dict[int, int] = {}
-    for i, s in enumerate(unique):
-        for e in s:
-            cov[e] = cov.get(e, 0) | (1 << i)
-
-    member_masks = [sum(1 << e for e in s) for s in unique]
-    packings = _greedy_packings(member_masks)
+    cov = _coverage(unique)
 
     nodes = 0
     limit = config.node_limit
@@ -161,6 +241,8 @@ def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> S
         nodes += 1
         if nodes > limit:
             raise NodeLimitExceeded
+
+    packings: list[int] = []
 
     def lower_bound(hit: int) -> int:
         rest = full ^ hit
@@ -196,7 +278,7 @@ def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> S
             return
         if depth + lower_bound(hit) >= best:
             return
-        for e in elem_lists[first_unhit(hit)]:
+        for e in unique[first_unhit(hit)]:
             search_min(hit | cov[e], depth + 1)
 
     solutions: set[tuple[int, ...]] = set()
@@ -208,14 +290,23 @@ def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> S
             return
         if depth == bound or depth + lower_bound(hit) > bound:
             return
-        for e in elem_lists[first_unhit(hit)]:
+        for e in unique[first_unhit(hit)]:
             chosen.append(e)
             enum_all(hit | cov[e], depth + 1, chosen, bound)
             chosen.pop()
 
     try:
-        search_min(0, 0)
-        enum_all(0, 0, [], best)
+        packing, tight = _tight_transversals(unique, cov, tick)
+        if tight:
+            best = len(packing)
+            solutions.update(tight)
+        else:
+            packings.extend(_greedy_packings([sum(1 << e for e in s) for s in unique]))
+            min_weight = sum(1 << i for i in packing)
+            if min_weight not in packings:
+                packings.append(min_weight)
+            search_min(0, 0)
+            enum_all(0, 0, [], best)
     except NodeLimitExceeded:
         # best is still a valid upper bound (greedy completed); solutions may
         # be missing or partial, which status makes explicit.
@@ -236,71 +327,3 @@ def is_blocking_set(candidate: EdgeSet, family: Iterable[EdgeSet]) -> bool:
         warnings.warn("is_blocking_set called with an empty family; vacuously true", stacklevel=2)
         return True
     return all(candidate & member for member in fam)
-
-
-@dataclass(frozen=True)
-class DirectionalResult:
-    solutions: tuple[EdgeSet, ...]
-    nodes: int
-
-
-def directional_blocker_search(ctx: Context, family: Iterable[EdgeSet]) -> DirectionalResult:
-    """All size-m blocking sets with exactly one edge per odd direction class.
-
-    Scans the m odd classes in direction order, choosing one edge from each.
-    A family member can only ever be hit through its own odd-direction edges,
-    so each member carries a deadline: the last class position at which one of
-    its odd edges could still be chosen. After filling a position, every
-    member whose deadline has passed must already be hit, or the branch dies.
-    """
-    fam = [frozenset(f) for f in family]
-    if not fam:
-        raise ValueError("directional search needs a nonempty family")
-    m, n = ctx.m, ctx.n
-    classes = [sorted(ctx.direction_classes[2 * i + 1]) for i in range(m)]
-    pos_of_dir = {2 * i + 1: i for i in range(m)}
-
-    fcount = len(fam)
-    all_bits = (1 << fcount) - 1
-    cov: dict[Edge, int] = {}
-    deadline_bucket = [0] * m
-    for fi, member in enumerate(fam):
-        last = -1
-        for e in member:
-            d = (e.a + e.b) % n
-            if d % 2 == 1:
-                p = pos_of_dir[d]
-                cov[e] = cov.get(e, 0) | (1 << fi)
-                last = max(last, p)
-        if last < 0:
-            # No odd-direction edge at all: unhittable in this search space.
-            return DirectionalResult(solutions=(), nodes=0)
-        deadline_bucket[last] |= 1 << fi
-    cum_deadline = []
-    acc = 0
-    for p in range(m):
-        acc |= deadline_bucket[p]
-        cum_deadline.append(acc)
-
-    solutions: list[EdgeSet] = []
-    chosen: list[Edge] = []
-    nodes = 0
-
-    def rec(pos: int, hit: int) -> None:
-        nonlocal nodes
-        if pos == m:
-            solutions.append(frozenset(chosen))
-            return
-        must = cum_deadline[pos]
-        for e in classes[pos]:
-            nodes += 1
-            h2 = hit | cov.get(e, 0)
-            if must & (all_bits ^ h2):
-                continue
-            chosen.append(e)
-            rec(pos + 1, h2)
-            chosen.pop()
-
-    rec(0, 0)
-    solutions.sort(key=lambda s: tuple(sorted(s)))
-    return DirectionalResult(solutions=tuple(solutions), nodes=nodes)

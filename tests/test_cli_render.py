@@ -121,17 +121,22 @@ def test_blockers_exact_generic(capsys):
     assert rec["nodes"] > 0
 
 
-def test_blockers_exact_directional_matches_generic(capsys):
-    code1, out1, _ = run(capsys, "blockers", "exact", "--m", "3", "--family", "shp")
-    code2, out2, _ = run(
-        capsys,
-        "blockers", "exact", "--m", "3", "--family", "shp",
-        "--algorithm", "directional",
+def test_blockers_exact_shp_complete(capsys):
+    code, out, _ = run(capsys, "blockers", "exact", "--m", "3", "--family", "shp")
+    assert code == 0
+    shp = json.loads(out)
+    assert shp["status"] == "complete" and shp["min_size"] == 3
+    code, out, _ = run(capsys, "blockers", "exact", "--m", "3", "--family", "spm")
+    assert code == 0
+    assert shp["solutions"] == json.loads(out)["solutions"]
+
+
+def test_blockers_exact_has_no_algorithm_flag(capsys):
+    code, _, err = run(
+        capsys, "blockers", "exact", "--m", "3", "--family", "shp", "--algorithm", "generic"
     )
-    assert code1 == code2 == 0
-    gen, dire = json.loads(out1), json.loads(out2)
-    assert gen["min_size"] == dire["min_size"] == 3
-    assert sorted(map(tuple, gen["solutions"])) == sorted(map(tuple, dire["solutions"]))
+    assert code == 1
+    assert "--algorithm" in err
 
 
 def test_blockers_exact_node_limit_exit_code(capsys):
@@ -250,6 +255,38 @@ def test_config_missing_file(tmp_path, capsys):
         "--family", "spm",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "config, needle",
+    [
+        ({"m": 3, "node-limit": 2}, "'node-limit'"),
+        ({"m": 3, "frobnicate": True}, "'frobnicate'"),
+        ({"m": 3.5}, "'m'"),
+        ({"m": "3"}, "'m'"),
+        ({"m": 3, "node_limit": True}, "'node_limit'"),
+        ({"m": 3, "family": "xyz"}, "'family'"),
+        ({"m": 3, "count_only": 1}, "'count_only'"),
+        ({"m": 3, "layer": "0-1"}, "'layer'"),
+    ],
+)
+def test_config_rejects_unknown_keys_and_bad_values(tmp_path, capsys, config, needle):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, "--config", str(cfg), "verify")
+    assert code == 1
+    assert out == ""
+    assert needle in err and len(err.strip().splitlines()) == 1
+
+
+def test_config_accepts_every_option_kind(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"m": 2, "node_limit": 1000, "family": "spm", "labels": False, "layer": ["0-1"]})
+    )
+    code, out, _ = run(capsys, "--config", str(cfg), "verify")
+    assert code == 0
+    assert json.loads(out)["status"] == "pass"
 
 
 # ------------------------------------------------------------------ render

@@ -1,9 +1,12 @@
 """Exact hitting-set machinery vs. naive subset enumeration."""
 
+import hashlib
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexblockers import (
     Context,
@@ -11,13 +14,13 @@ from convexblockers import (
     SetSystem,
     SolverConfig,
     SolverResult,
-    directional_blocker_search,
     enumerate_shp,
     enumerate_spm,
     is_blocking_set,
     min_hitting_sets,
     parse_edge_set,
 )
+from convexblockers.hitting import _coverage, _tight_transversals
 from oracles import naive_min_hitting_sets, random_set_system
 
 
@@ -126,32 +129,136 @@ def test_is_blocking_set():
         assert is_blocking_set(parse_edge_set("0-1"), [])
 
 
-def test_directional_search_matches_generic():
-    for m in (2, 3, 4):
-        ctx = Context(m)
-        fam = [p.edge_set() for p in enumerate_shp(ctx)]
-        system = SetSystem(
-            ctx.num_edges,
-            tuple(tuple(sorted(ctx.edge_index(e) for e in s)) for s in fam),
-        )
-        generic = min_hitting_sets(system)
-        assert generic.min_size == m
-        generic_sets = {
-            frozenset(ctx.edge_at(i) for i in sol) for sol in generic.solutions
-        }
-        direct = directional_blocker_search(ctx, fam)
-        assert set(direct.solutions) == generic_sets
-        assert direct.nodes > 0
+# ------------------------------------------------- tight-transversal phase
+
+# SHA-256 of the solver's solution list, as compact JSON, computed with the
+# branch-and-bound-only solver before the transversal phase existed. Both
+# families have the same blockers, so one digest per m serves both.
+GOLDEN_SOLUTIONS = {
+    2: "db493adc287bfa6793c57a8774a2a01afc8399d090e51d19f36ba7d4cbdebc2a",
+    3: "dee33e9971e4c8af556eb6701c5f68c6d5ded0f9cf371a07ba0a8884581663c8",
+    4: "44265ecd94161de955fb5c1bff2bb1825a92f2ec45d761eec8a5e758815a22c9",
+    5: "2284e8ea7373ab34a8c1a62826ca2ff544bea84b6f10c793b3959713cfc46bdc",
+    6: "d6c52e64e5114f0f920cdaeb9dce1f385bc07fde69d76789549e15bb28706b0a",
+    7: "43367a07265974573c6ae2ab95ea53778ee5c68d9e10e2059bef8209f407349c",
+}
+
+# Node counts are deterministic. The ceilings sit about 1.5x above today's
+# counts and far below branch and bound alone (696,885 nodes for shp at m=6),
+# so they fail if the transversal phase silently stops deciding.
+NODE_CEILINGS = {
+    "spm": {2: 10, 3: 60, 4: 300, 5: 1_200, 6: 4_500, 7: 15_000},
+    "shp": {2: 20, 3: 130, 4: 750, 5: 3_600, 6: 15_000, 7: 60_000},
+}
 
 
-def test_directional_search_unhittable_member():
-    # a member with no odd-direction edge can never be hit in this scheme
-    ctx = Context(3)
-    fam = [parse_edge_set("0-2,2-4")]  # directions 2 and 0, both even
-    res = directional_blocker_search(ctx, fam)
+def _family_system(m, family):
+    ctx = Context(m)
+    if family == "spm":
+        sets = list(enumerate_spm(ctx))
+    else:
+        sets = [p.edge_set() for p in enumerate_shp(ctx)]
+    return SetSystem(ctx.num_edges, tuple(tuple(sorted(ctx.edge_index(e) for e in s)) for s in sets))
+
+
+@pytest.mark.parametrize("family", ["spm", "shp"])
+@pytest.mark.parametrize("m", range(2, 8))
+def test_golden_solutions(m, family):
+    res = min_hitting_sets(_family_system(m, family))
+    assert res.status == "complete"
+    assert res.min_size == m
+    text = json.dumps([list(s) for s in res.solutions], separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SOLUTIONS[m]
+    assert res.nodes < NODE_CEILINGS[family][m]
+
+
+def _tight(sets):
+    """Run the transversal phase alone on normalised, deduplicated members."""
+    members = sorted({tuple(sorted(set(s))) for s in sets})
+    return _tight_transversals(members, _coverage(members), lambda: None)
+
+
+@st.composite
+def planted_systems(draw, min_blocks=1, max_blocks=4):
+    """Members with a planted packing whose size is the minimum.
+
+    Blocks are disjoint members; each has an anchor, its first element. Every
+    other member holds exactly one anchor, other elements of that anchor's
+    block, and extra elements outside all blocks. Members holding the same
+    anchor meet, and a block meets only members holding its anchor, so any
+    maximal greedy packing takes one member per block, and the anchors hit
+    everything: the minimum equals the packing size.
+    """
+    sizes = draw(st.lists(st.integers(1, 3), min_size=min_blocks, max_size=max_blocks))
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    blocks = [tuple(range(a, a + size)) for a, size in zip(starts, sizes)]
+    n_extra = draw(st.integers(0, 3))
+    extras = list(range(sum(sizes), sum(sizes) + n_extra))
+    sets = list(blocks)
+    for _ in range(draw(st.integers(0, 8))):
+        block = draw(st.sampled_from(blocks))
+        rest = draw(st.lists(st.sampled_from(block), unique=True))
+        more = draw(st.lists(st.sampled_from(extras), unique=True)) if extras else []
+        sets.append(tuple(sorted({block[0], *rest, *more})))
+    return sum(sizes) + n_extra, sets, len(blocks)
+
+
+@st.composite
+def fallback_systems(draw):
+    """A planted system plus an odd cycle of pairs on fresh elements.
+
+    The cycle C of length 2r+1 packs only r pairs but needs r+1 elements, so
+    the minimum exceeds every packing and the fallback must decide.
+    """
+    ground, sets, k = draw(planted_systems(max_blocks=2))
+    length = draw(st.sampled_from([3, 5]))
+    cycle = [(ground + i, ground + (i + 1) % length) for i in range(length)]
+    return ground + length, sets + cycle, k + (length + 1) // 2
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(planted_systems())
+def test_transversal_phase_decides_planted_packing(case):
+    ground, sets, k = case
+    packing, solutions = _tight(sets)
+    assert len(packing) == k and solutions  # the phase took this case
+    want_size, want_sols = naive_min_hitting_sets(ground, sets)
+    res = _solve(ground, sets)
+    assert res.status == "complete"
+    assert res.min_size == want_size == k
+    assert list(res.solutions) == sorted(want_sols)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(fallback_systems())
+def test_fallback_decides_when_minimum_exceeds_packing(case):
+    ground, sets, want_min = case
+    packing, solutions = _tight(sets)
+    assert solutions == []  # the phase proved min > len(packing) and deferred
+    want_size, want_sols = naive_min_hitting_sets(ground, sets)
+    res = _solve(ground, sets)
+    assert res.status == "complete"
+    assert res.min_size == want_size == want_min > len(packing)
+    assert list(res.solutions) == sorted(want_sols)
+
+
+def test_transversal_phase_on_odd_cycle():
+    # three pairwise-meeting pairs: one fits in a packing, two elements needed
+    packing, solutions = _tight([(0, 1), (1, 2), (0, 2)])
+    assert len(packing) == 1 and solutions == []
+    res = _solve(3, [(0, 1), (1, 2), (0, 2)])
+    assert (res.min_size, res.solutions) == (2, ((0, 1), (0, 2), (1, 2)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(planted_systems(min_blocks=4, max_blocks=6))
+def test_node_limit_in_transversal_phase(case):
+    # a full transversal needs one node per packed member, at least 4, so a
+    # limit of 3 always stops the phase before it finds a solution
+    ground, sets, k = case
+    res = _solve(ground, sets, node_limit=3)
+    assert res.status == "incomplete"
+    assert res.nodes == 4
     assert res.solutions == ()
-
-
-def test_directional_search_rejects_empty_family():
-    with pytest.raises(ValueError):
-        directional_blocker_search(Context(3), [])
+    # min_size is the greedy cover: a genuine upper bound
+    assert k <= res.min_size <= ground
