@@ -20,9 +20,9 @@ from typing import Sequence
 from .enumeration import enumerate_shp, enumerate_spm
 from .formula import iter_blocker_specs, parse_blocker_spec, realize
 from .geometry import Context, Edge, SimplePath, format_edge_set, is_simple_hamiltonian_path, parse_edge_set
-from .hitting import SetSystem, SolverConfig, min_hitting_sets
+from .hitting import SolverConfig, min_hitting_sets
 from .render import Layer, RenderSpec, render_svg
-from .verification import verify_theorems
+from .verification import edge_set_system, verify_theorems
 from .witnesses import P1Params, Prop1Params, build_p0, build_p1, build_prop1_path, prop1_special_edges
 
 EXIT_OK = 0
@@ -217,11 +217,7 @@ def _cmd_blockers_exact(args: argparse.Namespace) -> int:
         sets = list(enumerate_spm(ctx))
     else:
         sets = [p.edge_set() for p in enumerate_shp(ctx)]
-    system = SetSystem(
-        ground_size=ctx.num_edges,
-        sets=tuple(tuple(ctx.edge_index(e) for e in sorted(s)) for s in sets),
-    )
-    res = min_hitting_sets(system, SolverConfig(node_limit=args.node_limit))
+    res = min_hitting_sets(edge_set_system(sets, ctx), SolverConfig(node_limit=args.node_limit))
     _emit([_dumps(res.to_json_dict())], args.out)
     return EXIT_INCOMPLETE if res.status == "incomplete" else EXIT_OK
 

@@ -3,11 +3,11 @@
 M(ctx): all simple (noncrossing) perfect matchings of the 2m-gon.
 H(ctx): all simple (noncrossing) Hamiltonian paths.
 
-Both enumerators are exact and deterministic. H is produced by two independent
-algorithms, a pruned DFS oracle and a fast arc-ends recursion, which the test
-suite cross-validates set against set; production callers use the fast one.
-Families are materialized and sorted into canonical order up to m = 7 and
-streamed in deterministic recursion order beyond that.
+Both enumerators are exact and deterministic, and at every m they yield the
+whole family in canonical sorted order: matchings by their sorted edge
+tuples, paths by their canonical vertex tuples. The test suite
+cross-validates H against an independent depth-first oracle and a
+permutation scan.
 """
 
 from __future__ import annotations
@@ -22,14 +22,9 @@ __all__ = [
     "canonical_shp_family",
     "canonical_spm_family",
     "enumerate_shp",
-    "enumerate_shp_dfs",
     "enumerate_spm",
     "odd_position_matching",
 ]
-
-# Families up to this half-order are materialized and globally sorted; larger
-# ones stream in recursion order to keep memory flat.
-MATERIALIZE_MAX_M = 7
 
 
 def _spm_segments(segment: tuple[int, ...]) -> Iterator[frozenset[Edge]]:
@@ -53,26 +48,27 @@ def _spm_segments(segment: tuple[int, ...]) -> Iterator[frozenset[Edge]]:
 
 def enumerate_spm(ctx: Context) -> Iterator[EdgeSet]:
     """Yield every simple perfect matching exactly once, canonically ordered."""
-    gen = _spm_segments(tuple(range(ctx.n)))
-    if ctx.m <= MATERIALIZE_MAX_M:
-        yield from sorted(gen, key=lambda s: tuple(sorted(s)))
-    else:
-        yield from gen
+    yield from sorted(_spm_segments(tuple(range(ctx.n))), key=lambda s: tuple(sorted(s)))
 
 
 def enumerate_shp(ctx: Context) -> Iterator[SimplePath]:
-    """Yield every simple Hamiltonian path once, canonically ordered (fast path).
+    """Yield every simple Hamiltonian path once, canonically ordered.
 
     A noncrossing Hamiltonian path, read from either end, keeps the unvisited
     vertices a contiguous circular arc and always steps to one of the two arc
     ends. Conversely every end-choice string yields a noncrossing path, so
-    scanning all starts and all 2^(2m-2) choice strings produces each
-    undirected path exactly twice; canonical readings deduplicate.
+    the 2m starts times 2^(2m-2) choice strings give each undirected path
+    exactly twice, once read from each end. The low arc end advances once per
+    1-bit, so a reading ends at start + 1 + popcount(bits) mod 2m. Only the
+    readings that end above their start are built: those are the canonical
+    ones, one per undirected path.
     """
     n = ctx.n
-    seen: set[tuple[int, ...]] = set()
+    found: list[tuple[int, ...]] = []
     for start in range(n):
         for bits in range(1 << (n - 2)):
+            if (start + 1 + bits.bit_count()) % n < start:
+                continue
             lo = (start + 1) % n
             hi = (start - 1) % n
             seq = [start]
@@ -84,56 +80,10 @@ def enumerate_shp(ctx: Context) -> Iterator[SimplePath]:
                     seq.append(hi)
                     hi = (hi - 1) % n
             seq.append(lo)  # lo == hi: the last vertex is forced
-            tup = tuple(seq)
-            rev = tup[::-1]
-            seen.add(tup if tup <= rev else rev)
-    ordered: Iterator[tuple[int, ...]] = iter(sorted(seen)) if ctx.m <= MATERIALIZE_MAX_M else iter(seen)
-    for tup in ordered:
+            found.append(tuple(seq))
+    found.sort()
+    for tup in found:
         yield SimplePath(tup)
-
-
-def enumerate_shp_dfs(ctx: Context) -> list[SimplePath]:
-    """Oracle enumerator for H: depth-first extension with crossing pruning.
-
-    Grows simple paths one vertex at a time, rejecting any extension edge that
-    crosses an edge already on the path. Independent of enumerate_shp; the
-    tests require the two outputs to agree as sets.
-    """
-    n = ctx.n
-    idx = ctx.edge_index
-    cross_mask = [0] * ctx.num_edges
-    from .geometry import crosses  # local import keeps module load light
-
-    for i, e1 in enumerate(ctx.all_edges):
-        for j in range(i + 1, ctx.num_edges):
-            if crosses(e1, ctx.all_edges[j], ctx):
-                cross_mask[i] |= 1 << j
-                cross_mask[j] |= 1 << i
-
-    found: set[tuple[int, ...]] = set()
-    path: list[int] = []
-
-    def extend(used: int, edge_bits: int) -> None:
-        if len(path) == n:
-            tup = tuple(path)
-            rev = tup[::-1]
-            found.add(tup if tup <= rev else rev)
-            return
-        last = path[-1]
-        for v in range(n):
-            if (used >> v) & 1:
-                continue
-            ei = idx(Edge(last, v))
-            if cross_mask[ei] & edge_bits:
-                continue
-            path.append(v)
-            extend(used | (1 << v), edge_bits | (1 << ei))
-            path.pop()
-
-    for start in range(n):
-        path = [start]
-        extend(1 << start, 0)
-    return [SimplePath(t) for t in sorted(found)]
 
 
 def odd_position_matching(p: SimplePath, ctx: Context) -> EdgeSet:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import collections
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable
 
 __all__ = [
@@ -62,6 +62,12 @@ class Edge(collections.namedtuple("Edge", ["a", "b"])):
     def __str__(self) -> str:
         return f"{self.a}-{self.b}"
 
+
+# One shared Edge per ordered vertex pair, built on first use: the families
+# hold millions of edge occurrences but only n(n-1) distinct pairs, so paths
+# reuse these values instead of allocating a tuple per occurrence. Failed
+# calls are not cached, so a degenerate pair raises every time.
+_edge = cache(Edge)
 
 # An edge set is a plain frozenset of Edge values. Canonical iteration order
 # is sorted(), which coincides with the dense index order of Context.
@@ -204,10 +210,11 @@ class SimplePath:
 
     def edges(self) -> tuple[Edge, ...]:
         vs = self.vertices
-        return tuple(Edge(vs[i], vs[i + 1]) for i in range(len(vs) - 1))
+        return tuple(map(_edge, vs, vs[1:]))
 
     def edge_set(self) -> EdgeSet:
-        return frozenset(self.edges())
+        vs = self.vertices
+        return frozenset(map(_edge, vs, vs[1:]))
 
     def canonical(self) -> "SimplePath":
         rev = self.vertices[::-1]

@@ -31,8 +31,22 @@ __all__ = [
     "TheoremReport",
     "check_boundary_edges_consecutive",
     "check_one_per_odd_direction",
+    "edge_set_system",
     "verify_theorems",
 ]
+
+
+def edge_set_system(family: Iterable[EdgeSet], ctx: Context) -> SetSystem:
+    """The edge sets of a family as a SetSystem over the dense edge indices of ctx.
+
+    Each member becomes the sorted tuple of its edge indices; dense index
+    order is canonical edge order, so the tuple lists the edges as sorted()
+    does.
+    """
+    return SetSystem(
+        ground_size=ctx.num_edges,
+        sets=tuple(tuple(sorted(map(ctx.edge_index, s))) for s in family),
+    )
 
 
 def check_one_per_odd_direction(blockers: Iterable[EdgeSet], ctx: Context) -> bool:
@@ -119,14 +133,8 @@ def verify_theorems(m: int, config: SolverConfig | None = None) -> TheoremReport
     shp_paths = list(enumerate_shp(ctx))
     shp_sets = [p.edge_set() for p in shp_paths]
 
-    def to_system(family: list[EdgeSet]) -> SetSystem:
-        return SetSystem(
-            ground_size=ctx.num_edges,
-            sets=tuple(tuple(ctx.edge_index(e) for e in sorted(s)) for s in family),
-        )
-
-    res_spm = min_hitting_sets(to_system(spm_sets), config)
-    res_shp = min_hitting_sets(to_system(shp_sets), config)
+    res_spm = min_hitting_sets(edge_set_system(spm_sets, ctx), config)
+    res_shp = min_hitting_sets(edge_set_system(shp_sets, ctx), config)
     blockers_spm = [frozenset(ctx.edge_at(i) for i in sol) for sol in res_spm.solutions]
     blockers_shp = [frozenset(ctx.edge_at(i) for i in sol) for sol in res_shp.solutions]
 

@@ -95,6 +95,46 @@ def brute_hamiltonian_paths(n: int) -> set[tuple[int, ...]]:
     return found
 
 
+def enumerate_shp_dfs(n: int) -> set[tuple[int, ...]]:
+    """All noncrossing Hamiltonian paths as canonical vertex tuples, by DFS.
+
+    Grows paths one vertex at a time and rejects any extension edge that
+    crosses an edge already on the path, using the float oracle. Cheaper
+    than the permutation scan, so it reaches n = 10.
+    """
+    edges = list(itertools.combinations(range(n), 2))
+    index = {e: i for i, e in enumerate(edges)}
+    cross_mask = [0] * len(edges)
+    for (i, e1), (j, e2) in itertools.combinations(enumerate(edges), 2):
+        if crosses_float(e1, e2, n):
+            cross_mask[i] |= 1 << j
+            cross_mask[j] |= 1 << i
+
+    found: set[tuple[int, ...]] = set()
+    path: list[int] = []
+
+    def extend(used: int, edge_bits: int) -> None:
+        if len(path) == n:
+            tup = tuple(path)
+            found.add(min(tup, tup[::-1]))
+            return
+        last = path[-1]
+        for v in range(n):
+            if (used >> v) & 1:
+                continue
+            ei = index[(min(last, v), max(last, v))]
+            if cross_mask[ei] & edge_bits:
+                continue
+            path.append(v)
+            extend(used | (1 << v), edge_bits | (1 << ei))
+            path.pop()
+
+    for start in range(n):
+        path = [start]
+        extend(1 << start, 0)
+    return found
+
+
 def naive_min_hitting_sets(
     ground_size: int, sets: list[tuple[int, ...]]
 ) -> tuple[int, list[tuple[int, ...]]]:

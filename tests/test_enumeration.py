@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexblockers import (
     Context,
@@ -13,16 +15,19 @@ from convexblockers import (
     canonical_spm_family,
     direction,
     enumerate_shp,
-    enumerate_shp_dfs,
     enumerate_spm,
     is_simple_hamiltonian_path,
     is_simple_perfect_matching,
     odd_position_matching,
     parse_edge_set,
+    reflect,
+    reflect_path,
+    rotate,
+    rotate_path,
 )
-from oracles import brute_hamiltonian_paths, brute_perfect_matchings
+from oracles import brute_hamiltonian_paths, brute_perfect_matchings, enumerate_shp_dfs
 
-CATALAN = {2: 2, 3: 5, 4: 14, 5: 42, 6: 132, 7: 429}
+CATALAN = {2: 2, 3: 5, 4: 14, 5: 42, 6: 132, 7: 429, 8: 1430}
 
 
 def _shp_count(m: int) -> int:
@@ -60,8 +65,7 @@ def test_shp_against_permutation_oracle(m):
 def test_fast_shp_agrees_with_dfs(m):
     ctx = Context(m)
     fast = {p.canonical().vertices for p in enumerate_shp(ctx)}
-    dfs = {p.canonical().vertices for p in enumerate_shp_dfs(ctx)}
-    assert fast == dfs
+    assert fast == enumerate_shp_dfs(ctx.n)
 
 
 def test_every_enumerated_object_is_valid():
@@ -151,12 +155,40 @@ def test_boundary_hamiltonian_paths():
     assert len({p.canonical().vertices for p in fam}) == ctx.n
 
 
-def test_large_m_streams_without_materializing():
-    # above the sort threshold the generator must still produce valid output
+def test_m8_families_are_canonical():
     ctx = Context(8)
-    it = enumerate_spm(ctx)
-    first = next(it)
-    assert is_simple_perfect_matching(first, ctx)
-    it2 = enumerate_shp(ctx)
-    p = next(it2)
-    assert is_simple_hamiltonian_path(p, ctx)
+    paths = [p.vertices for p in enumerate_shp(ctx)]
+    assert len(paths) == _shp_count(8) == 131072
+    assert all(p < q for p, q in zip(paths, paths[1:]))
+    assert all(p < p[::-1] for p in paths)
+    keys = [tuple(sorted(s)) for s in enumerate_spm(ctx)]
+    assert len(keys) == CATALAN[8]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+@pytest.fixture(scope="module")
+def families():
+    """(canonical H vertex tuples, M edge sets) for m = 2..6."""
+    return {
+        m: (frozenset(p.vertices for p in enumerate_shp(Context(m))), frozenset(enumerate_spm(Context(m))))
+        for m in range(2, 7)
+    }
+
+
+# A half-order m with a rotation shift and a reflection axis; both may lie
+# outside 0..2m-1, since the maps reduce mod 2m.
+dihedral_moves = st.integers(2, 6).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(-4 * m, 4 * m), st.integers(-4 * m, 4 * m))
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dihedral_moves)
+def test_families_closed_under_rotation_and_reflection(families, move):
+    m, r, axis = move
+    ctx = Context(m)
+    shp, spm = families[m]
+    for image in (lambda p: rotate_path(p, r, ctx), lambda p: reflect_path(p, axis, ctx)):
+        assert {image(SimplePath(t)).canonical().vertices for t in shp} == shp
+    assert {rotate(s, r, ctx) for s in spm} == spm
+    assert {reflect(s, axis, ctx) for s in spm} == spm

@@ -1,6 +1,7 @@
 """Vertex/edge arithmetic against frozen values and the float oracle."""
 
 import itertools
+import pickle
 
 import pytest
 
@@ -147,6 +148,27 @@ def test_simple_path_basics():
     # construction never validates; the predicates do
     assert not is_noncrossing_path(SimplePath((1, 2, 1)), Context(3))
     assert not is_noncrossing_path(SimplePath(()), Context(3))
+
+
+def test_path_degenerate_step_raises_every_time():
+    p = SimplePath((2, 2))
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            p.edge_set()
+        with pytest.raises(ValueError):
+            p.edges()
+
+
+def test_path_edges_are_plain_edge_values():
+    p = SimplePath((5, 1, 4, 0))
+    want = [Edge(5, 1), Edge(1, 4), Edge(4, 0)]
+    assert p.edges() == tuple(want)
+    s = p.edge_set()
+    assert s == frozenset(want) == SimplePath((0, 4, 1, 5)).edge_set()
+    for e in s:
+        assert type(e) is Edge and hash(e) == hash(Edge(e.b, e.a))
+    back = pickle.loads(pickle.dumps(s))
+    assert back == s and all(type(e) is Edge and e.a < e.b for e in back)
 
 
 def test_path_rotate_reflect():
