@@ -16,10 +16,15 @@ The search has two phases, both sound by packing duality alone:
    every member that no later position can hit must already be hit. If a
    transversal survives, the minimum is p and the survivors are all optima.
 2. Branch and bound, run only when no transversal survives (the minimum then
-   exceeds p). It branches on the elements of the first unhit member; its
-   lower bound is the number of still-unhit members of a few greedy
-   packings, the min-weight one among them (each unhit packed member needs
-   its own element); its upper bound is a greedy cover.
+   exceeds p). It branches on the elements e1..er of the first unhit member,
+   and branch i bans e1..e(i-1) for its whole subtree. Every hitting set
+   below a node meets that member, and lies below only the branch of its
+   first element there, so the search reaches no set twice and loses no
+   optimum: there are no duplicates to remove. One pass keeps every hitting
+   set of size at most the best one seen. Its lower bound is the number of
+   still-unhit members of a few greedy packings, the min-weight one among
+   them (each unhit packed member needs its own element); its upper bound
+   starts at a greedy cover.
 
 Search state lives in Python big-int bitmasks over member indices, which
 keeps the per-node cost at a handful of word operations even for thousands
@@ -215,11 +220,12 @@ def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> S
 
     First tries the tight-transversal phase (see the module docstring). When
     the minimum exceeds the min-weight packing, falls back to branch and
-    bound: it branches on the elements of the lowest-index unhit member
-    (members are pre-sorted by size so that branch factors stay small),
-    prunes with the packing lower bound, and deduplicates solutions found
-    along different branch orders, in two passes: prove the minimum size,
-    then enumerate every solution of exactly that size.
+    bound in one pass: it branches on the elements of the lowest-index unhit
+    member (members are pre-sorted by size so that branch factors stay
+    small), and each branch bans the elements its earlier siblings took, so
+    every hitting set is reached at most once. It prunes a node when the
+    packing lower bound exceeds the best size seen, keeps every hitting set
+    of that size, and starts over when it finds a smaller one.
     """
     if config is None:
         config = SolverConfig()
@@ -268,48 +274,49 @@ def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> S
 
     best = greedy_size
     status = "complete"
+    solutions: list[tuple[int, ...]] = []
+    chosen: list[int] = []
 
-    def search_min(hit: int, depth: int) -> None:
+    def search(hit: int, depth: int, ban: int) -> None:
+        # Collects every hitting set of size <= best; ban holds the elements
+        # that earlier siblings on the path already tried.
         nonlocal best
         tick()
         if hit == full:
+            # depth <= best: the parent passed depth - 1 + lower_bound <= best
+            # with lower_bound >= 1, and best has since dropped only to the
+            # sizes of the parent's descendants, all >= depth.
             if depth < best:
                 best = depth
+                solutions.clear()
+            solutions.append(tuple(sorted(chosen)))
             return
-        if depth + lower_bound(hit) >= best:
-            return
-        for e in unique[first_unhit(hit)]:
-            search_min(hit | cov[e], depth + 1)
-
-    solutions: set[tuple[int, ...]] = set()
-
-    def enum_all(hit: int, depth: int, chosen: list[int], bound: int) -> None:
-        tick()
-        if hit == full:
-            solutions.add(tuple(sorted(chosen)))
-            return
-        if depth == bound or depth + lower_bound(hit) > bound:
+        if depth + lower_bound(hit) > best:
             return
         for e in unique[first_unhit(hit)]:
+            bit = 1 << e
+            if ban & bit:
+                continue
             chosen.append(e)
-            enum_all(hit | cov[e], depth + 1, chosen, bound)
+            search(hit | cov[e], depth + 1, ban)
             chosen.pop()
+            ban |= bit
 
     try:
         packing, tight = _tight_transversals(unique, cov, tick)
         if tight:
             best = len(packing)
-            solutions.update(tight)
+            solutions = tight
         else:
             packings.extend(_greedy_packings([sum(1 << e for e in s) for s in unique]))
             min_weight = sum(1 << i for i in packing)
             if min_weight not in packings:
                 packings.append(min_weight)
-            search_min(0, 0)
-            enum_all(0, 0, [], best)
+            search(0, 0, 0)
     except NodeLimitExceeded:
-        # best is still a valid upper bound (greedy completed); solutions may
-        # be missing or partial, which status makes explicit.
+        # best is still a valid upper bound (greedy completed); solutions
+        # holds the hitting sets of size best found so far, which status
+        # marks as possibly partial.
         status = "incomplete"
 
     return SolverResult(

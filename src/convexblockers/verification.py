@@ -41,12 +41,16 @@ def edge_set_system(family: Iterable[EdgeSet], ctx: Context) -> SetSystem:
 
     Each member becomes the sorted tuple of its edge indices; dense index
     order is canonical edge order, so the tuple lists the edges as sorted()
-    does.
+    does. Raises ValueError, as Context.edge_index does, for an edge that is
+    not an edge of the 2m-gon.
     """
-    return SetSystem(
-        ground_size=ctx.num_edges,
-        sets=tuple(tuple(sorted(map(ctx.edge_index, s))) for s in family),
-    )
+    index_of = ctx._index_of.__getitem__
+    try:
+        sets = tuple(tuple(sorted(map(index_of, s))) for s in family)
+    except KeyError as exc:
+        ctx.edge_index(exc.args[0])  # raises the ValueError that names the edge
+        raise
+    return SetSystem(ground_size=ctx.num_edges, sets=sets)
 
 
 def check_one_per_odd_direction(blockers: Iterable[EdgeSet], ctx: Context) -> bool:
@@ -119,7 +123,7 @@ def _canonical(family: Iterable[EdgeSet]) -> list[tuple]:
     return sorted(tuple(sorted(s)) for s in family)
 
 
-def _first_unhit(s: EdgeSet, family: list[EdgeSet]) -> str | None:
+def _first_unhit(s: EdgeSet, family: Iterable[EdgeSet]) -> str | None:
     for member in sorted(family, key=lambda f: tuple(sorted(f))):
         if not s & member:
             return format_edge_set(member)
@@ -157,33 +161,34 @@ def verify_theorems(m: int, config: SolverConfig | None = None) -> TheoremReport
     consecutive = check_boundary_edges_consecutive(distinct, ctx)
 
     min_ok = res_spm.min_size == m and res_shp.min_size == m
-    flags_ok = all(
-        (eq_families, eq_formula, min_ok, all_caterpillar, all_spine, all_sweep, one_per_odd, consecutive)
-    )
+    # Every check in report order, each with a builder of its witness; only
+    # the first failed check builds one.
+    families = ("shp_only", spm_sets), ("spm_only", shp_sets)
+    # A solver blocker hits every member, so only a formula member can miss one.
+    formula = ("formula_only", spm_sets), ("solver_only", ())
+    checks = [
+        (eq_families, lambda: _diff_witness("blocker_families_differ", key_shp, key_spm, *families)),
+        (eq_formula, lambda: _diff_witness("formula_family_differs", key_formula, key_spm, *formula)),
+        (min_ok, lambda: _witness("min_size_mismatch")),
+        (
+            all_caterpillar and all_spine,
+            lambda: _witness("structure_check_failed", next(b for b, r in zip(distinct, reports) if not r.passes())),
+        ),
+        (
+            all_sweep,
+            lambda: _witness("direction_sweep_failed", next(b for b in distinct if not direction_sweep_check(b, ctx))),
+        ),
+        (one_per_odd and consecutive, lambda: _witness("profile_check_failed")),
+    ]
 
+    counterexample: dict | None = None
     if res_spm.status == "incomplete" or res_shp.status == "incomplete":
         status = "inconclusive"
-    elif flags_ok:
+    elif all(ok for ok, _ in checks):
         status = "pass"
     else:
         status = "fail"
-
-    counterexample: dict | None = None
-    if status == "fail":
-        counterexample = _minimize_counterexample(
-            ctx,
-            eq_families,
-            eq_formula,
-            min_ok,
-            key_spm,
-            key_shp,
-            key_formula,
-            spm_sets,
-            shp_sets,
-            distinct,
-            reports,
-            all_sweep,
-        )
+        counterexample = next(witness() for ok, witness in checks if not ok)
 
     report_dict = {
         "m": m,
@@ -221,59 +226,22 @@ def verify_theorems(m: int, config: SolverConfig | None = None) -> TheoremReport
     return TheoremReport(content_hash=digest, **report_dict)
 
 
-def _minimize_counterexample(
-    ctx: Context,
-    eq_families: bool,
-    eq_formula: bool,
-    min_ok: bool,
-    key_spm: list,
-    key_shp: list,
-    key_formula: list,
-    spm_sets: list,
-    shp_sets: list,
-    distinct: list,
-    reports: list,
-    all_sweep: bool,
-) -> dict:
-    """Smallest witness of the first failed comparison, for the report."""
-    if not eq_families:
-        diff = sorted(set(key_shp) ^ set(key_spm))
-        s = frozenset(diff[0])
-        side = "shp_only" if tuple(sorted(s)) in set(key_shp) else "spm_only"
-        other_family = spm_sets if side == "shp_only" else shp_sets
-        return {
-            "kind": "blocker_families_differ",
-            "edges": format_edge_set(s),
-            "side": side,
-            "unhit_member": _first_unhit(s, other_family),
-        }
-    if not eq_formula:
-        diff = sorted(set(key_spm) ^ set(key_formula))
-        s = frozenset(diff[0])
-        in_formula = tuple(sorted(s)) in set(key_formula)
-        return {
-            "kind": "formula_family_differs",
-            "edges": format_edge_set(s),
-            "side": "formula_only" if in_formula else "solver_only",
-            "unhit_member": _first_unhit(s, spm_sets) if in_formula else None,
-        }
-    if not min_ok:
-        return {"kind": "min_size_mismatch", "edges": None, "side": None, "unhit_member": None}
-    for b, r in zip(distinct, reports):
-        if not (r.is_tree and r.is_noncrossing and r.is_caterpillar and r.boundary_spine is not None):
-            return {
-                "kind": "structure_check_failed",
-                "edges": format_edge_set(b),
-                "side": None,
-                "unhit_member": None,
-            }
-    if not all_sweep:
-        for b in distinct:
-            if not direction_sweep_check(b, ctx):
-                return {
-                    "kind": "direction_sweep_failed",
-                    "edges": format_edge_set(b),
-                    "side": None,
-                    "unhit_member": None,
-                }
-    return {"kind": "profile_check_failed", "edges": None, "side": None, "unhit_member": None}
+def _witness(kind: str, edges: EdgeSet | None = None, side: str | None = None, unhit: str | None = None) -> dict:
+    return {
+        "kind": kind,
+        "edges": None if edges is None else format_edge_set(edges),
+        "side": side,
+        "unhit_member": unhit,
+    }
+
+
+def _diff_witness(kind: str, key_a: list, key_b: list, a: tuple, b: tuple) -> dict:
+    """The first blocker in exactly one of two canonical key lists.
+
+    a and b are (side, family) for key_a and key_b: side names where the
+    blocker was found, family is the one whose first unhit member is shown.
+    """
+    first = min(set(key_a) ^ set(key_b))
+    side, family = a if first in set(key_a) else b
+    s = frozenset(first)
+    return _witness(kind, s, side, _first_unhit(s, family))

@@ -172,10 +172,10 @@ def test_golden_solutions(m, family):
     assert res.nodes < NODE_CEILINGS[family][m]
 
 
-def _tight(sets):
-    """Run the transversal phase alone on normalised, deduplicated members."""
-    members = sorted({tuple(sorted(set(s))) for s in sets})
-    return _tight_transversals(members, _coverage(members), lambda: None)
+def _tight(sets, tick=lambda: None):
+    """Run the transversal phase alone on the members as the solver orders them."""
+    members = sorted({tuple(sorted(set(s))) for s in sets}, key=lambda s: (len(s), s))
+    return _tight_transversals(members, _coverage(members), tick)
 
 
 @st.composite
@@ -262,3 +262,69 @@ def test_node_limit_in_transversal_phase(case):
     assert res.solutions == ()
     # min_size is the greedy cover: a genuine upper bound
     assert k <= res.min_size <= ground
+
+
+# ------------------------------------------------------- branch and bound
+
+
+def _random_system(seed):
+    """Ground 22 and 64 distinct members of size 3..5, drawn from seed.
+
+    The minimum (7 to 9) exceeds every greedy packing, so only the branch
+    and bound decides these systems.
+    """
+    rng = random.Random(seed)
+    sets = set()
+    while len(sets) < 64:
+        sets.add(tuple(sorted(rng.sample(range(22), rng.randint(3, 5)))))
+    return SetSystem(22, tuple(sorted(sets)))
+
+
+# SHA-256 of [min_size, solutions] as compact JSON, computed with the
+# two-pass solver that deduplicated its solutions in a set, and node ceilings
+# about 1.5x above the one-pass counts (2772, 1810, 729, 5509). The two-pass
+# solver needed 10726, 9635, 2351 and 30304 nodes, so the ceilings fail if
+# the ban on earlier siblings' elements silently stops pruning.
+FALLBACK_GOLDEN = {
+    0: ("efe213168a0a827201b384fb3560a9753ced01f7318ea4a5457824dbd2e73071", 4_200),
+    1: ("baf698c6219cd2ce8490a0a6ba57537712d4918dff85ef6cbb879bda7bec233b", 2_700),
+    2: ("a3a07a8cdb5e9f8ecf830a59d184ed8ba68ffefe9c676a4ddcba2e8cf269e12d", 1_100),
+    3: ("cdcc2244c68bb82d1b6bf684ff782aafa86eec1fc6823f6322b46ca22e32cae1", 8_300),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FALLBACK_GOLDEN))
+def test_fallback_golden_random_systems(seed):
+    system = _random_system(seed)
+    assert _tight(system.sets)[1] == []  # the branch and bound decides
+    res = min_hitting_sets(system)
+    assert res.status == "complete"
+    text = json.dumps([res.min_size, [list(s) for s in res.solutions]], separators=(",", ":"))
+    digest, ceiling = FALLBACK_GOLDEN[seed]
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert res.nodes < ceiling
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(fallback_systems(), st.data())
+def test_node_limit_in_branch_and_bound(case, data):
+    ground, sets, _ = case
+    phase_nodes = 0
+
+    def tick():
+        nonlocal phase_nodes
+        phase_nodes += 1
+
+    _tight(sets, tick)
+    total = _solve(ground, sets).nodes
+    # any limit from one node past the phase to one short of a full solve
+    # stops the branch and bound somewhere inside
+    limit = data.draw(st.integers(phase_nodes + 1, total - 1))
+    res = _solve(ground, sets, node_limit=limit)
+    assert res.status == "incomplete"
+    assert res.nodes == limit + 1
+    assert res.min_size >= naive_min_hitting_sets(ground, sets)[0]
+    assert len(set(res.solutions)) == len(res.solutions)
+    for sol in res.solutions:
+        assert len(sol) == res.min_size
+        assert all(set(sol) & set(s) for s in sets)

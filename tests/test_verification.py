@@ -1,5 +1,6 @@
 """End-to-end theorem reports and their failure detection."""
 
+import dataclasses
 import json
 
 import pytest
@@ -7,15 +8,19 @@ import pytest
 from convexblockers import (
     Context,
     Edge,
+    SetSystem,
     SolverConfig,
     TheoremReport,
     boundary_hamiltonian_paths,
     check_boundary_edges_consecutive,
     check_one_per_odd_direction,
     direction_class,
+    edge_set_system,
+    enumerate_shp,
     parse_edge_set,
     verify_theorems,
 )
+from convexblockers import verification
 
 SHP_COUNT = {m: 2 * m * 2 ** (2 * m - 3) for m in range(2, 8)}
 CATALAN = {2: 2, 3: 5, 4: 14, 5: 42, 6: 132}
@@ -181,3 +186,119 @@ def test_every_blocker_is_minimal_exhaustively(m):
         for size in range(m):
             for combo in itertools.combinations(ctx.all_edges, size):
                 assert not is_blocking_set(frozenset(combo), spms)
+
+
+def test_edge_set_system_matches_edge_index():
+    ctx = Context(4)
+    fam = [p.edge_set() for p in enumerate_shp(ctx)]
+    want = SetSystem(ctx.num_edges, tuple(tuple(sorted(ctx.edge_index(e) for e in s)) for s in fam))
+    assert edge_set_system(fam, ctx) == want
+
+
+def test_edge_set_system_rejects_edge_outside_polygon():
+    ctx = Context(2)
+    bad = Edge(1, 4)  # the 4-gon has vertices 0..3
+    with pytest.raises(ValueError) as want:
+        ctx.edge_index(bad)
+    with pytest.raises(ValueError) as got:
+        edge_set_system([parse_edge_set("0-1,2-3"), frozenset({Edge(0, 1), bad})], ctx)
+    assert str(got.value) == str(want.value)
+    assert "1-4" in str(got.value)
+
+
+# ----------------------------------------------------- counterexamples
+
+NOT_A_TREE = parse_edge_set("0-1,2-3,4-5")  # three disjoint edges
+NO_SWEEP = parse_edge_set("0-1,0-2,0-5")  # a boundary-spine caterpillar that fails the sweep
+
+
+def _add(extra, *families):
+    """Solver edit: add the edge set extra to the m=3 solutions of families."""
+
+    def edit(fam, res):
+        if fam not in families:
+            return res
+        ctx = Context(3)
+        sol = tuple(sorted(ctx.edge_index(e) for e in extra))
+        return dataclasses.replace(res, solutions=tuple(sorted(res.solutions + (sol,))))
+
+    return edit
+
+
+def _drop_first_shp(fam, res):
+    return dataclasses.replace(res, solutions=res.solutions[1:]) if fam == "shp" else res
+
+
+def _raise_min(fam, res):
+    return dataclasses.replace(res, min_size=res.min_size + 1)
+
+
+# Each case damages one input of verify_theorems(3) and pins the
+# counterexample that the report names. Every dict was computed before the
+# checks became one ordered list, so the rewrite kept the report unchanged.
+COUNTEREXAMPLES = {
+    "shp_drops_blocker": (
+        dict(solver=_drop_first_shp),
+        {"kind": "blocker_families_differ", "edges": "0-1,0-3,0-5", "side": "spm_only", "unhit_member": None},
+    ),
+    "shp_adds_non_blocker": (
+        dict(solver=_add(NOT_A_TREE, "shp")),
+        {"kind": "blocker_families_differ", "edges": "0-1,2-3,4-5", "side": "shp_only",
+         "unhit_member": "0-5,1-2,3-4"},
+    ),
+    "spm_adds_non_blocker": (
+        dict(solver=_add(NOT_A_TREE, "spm")),
+        {"kind": "blocker_families_differ", "edges": "0-1,2-3,4-5", "side": "spm_only",
+         "unhit_member": "0-2,0-5,1-2,3-4,3-5"},
+    ),
+    "formula_drops_member": (
+        dict(formula=lambda fam: fam[1:]),
+        {"kind": "formula_family_differs", "edges": "0-1,0-3,0-5", "side": "solver_only", "unhit_member": None},
+    ),
+    "formula_adds_non_blocker": (
+        dict(formula=lambda fam: fam + [NOT_A_TREE]),
+        {"kind": "formula_family_differs", "edges": "0-1,2-3,4-5", "side": "formula_only",
+         "unhit_member": "0-5,1-2,3-4"},
+    ),
+    "min_size_off_by_one": (
+        dict(solver=_raise_min),
+        {"kind": "min_size_mismatch", "edges": None, "side": None, "unhit_member": None},
+    ),
+    "all_add_non_tree": (
+        dict(solver=_add(NOT_A_TREE, "spm", "shp"), formula=lambda fam: fam + [NOT_A_TREE]),
+        {"kind": "structure_check_failed", "edges": "0-1,2-3,4-5", "side": None, "unhit_member": None},
+    ),
+    "all_add_no_sweep": (
+        dict(solver=_add(NO_SWEEP, "spm", "shp"), formula=lambda fam: fam + [NO_SWEEP]),
+        {"kind": "direction_sweep_failed", "edges": "0-1,0-2,0-5", "side": None, "unhit_member": None},
+    ),
+    "profile_check_fails": (
+        dict(check_one_per_odd_direction=lambda blockers, ctx: False),
+        {"kind": "profile_check_failed", "edges": None, "side": None, "unhit_member": None},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUNTEREXAMPLES))
+def test_counterexample_names_first_failed_check(monkeypatch, case):
+    patches, want = COUNTEREXAMPLES[case]
+    patches = dict(patches)
+    edit = patches.pop("solver", None)
+    damage = patches.pop("formula", None)
+    if edit is not None:
+        real_solver = verification.min_hitting_sets
+        # at m=3, M has 5 members and H has 48
+        monkeypatch.setattr(
+            verification,
+            "min_hitting_sets",
+            lambda system, config=None: edit("spm" if len(system.sets) == 5 else "shp", real_solver(system, config)),
+        )
+    if damage is not None:
+        real_formula = verification.enumerate_formula_family
+        monkeypatch.setattr(verification, "enumerate_formula_family", lambda ctx: damage(real_formula(ctx)))
+    for name, value in patches.items():
+        monkeypatch.setattr(verification, name, value)
+    rep = verify_theorems(3)
+    assert rep.status == "fail"
+    assert not rep.passes()
+    assert rep.counterexample == want
