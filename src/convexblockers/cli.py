@@ -213,11 +213,12 @@ def _cmd_blockers_formula(args: argparse.Namespace) -> int:
 def _cmd_blockers_exact(args: argparse.Namespace) -> int:
     ctx = Context(_need(args, "m"))
     family = _need(args, "family")
+    config = SolverConfig(node_limit=args.node_limit)
     if family == "spm":
         sets = list(enumerate_spm(ctx))
     else:
         sets = [p.edge_set() for p in enumerate_shp(ctx)]
-    res = min_hitting_sets(edge_set_system(sets, ctx), SolverConfig(node_limit=args.node_limit))
+    res = min_hitting_sets(edge_set_system(sets, ctx), config)
     _emit([_dumps(res.to_json_dict())], args.out)
     return EXIT_INCOMPLETE if res.status == "incomplete" else EXIT_OK
 

@@ -5,16 +5,17 @@ minimum size and *all* optimal solutions of an abstract SetSystem. It sees
 nothing but index sets, so its answers are independent of any geometric
 reasoning they are later compared against.
 
-The search has two phases, both sound by packing duality alone:
+The search builds one packing and has two phases, both sound by packing
+duality alone. The packing takes pairwise-disjoint members greedily in order
+of increasing weight (the sum of the member's element frequencies); each
+packed member needs its own element, so the minimum is at least its size p.
 
-1. Tight transversals. A greedy packing of pairwise-disjoint members, taken
-   in order of increasing weight (the sum of the member's element
-   frequencies), proves that the minimum is at least its size p. If some
-   hitting set of size p exists, every optimum takes exactly one element
-   from each packed member and nothing else. So the phase scans only those
-   transversals, pruned by deadline masks: after each packing position,
-   every member that no later position can hit must already be hit. If a
-   transversal survives, the minimum is p and the survivors are all optima.
+1. Tight transversals. If some hitting set of size p exists, every optimum
+   takes exactly one element from each packed member and nothing else. So
+   the phase scans only those transversals, pruned by deadline masks: after
+   each packing position, every member that no later position can hit must
+   already be hit. If a transversal survives, the minimum is p and the
+   survivors are all optima.
 2. Branch and bound, run only when no transversal survives (the minimum then
    exceeds p). It branches on the elements e1..er of the first unhit member,
    and branch i bans e1..e(i-1) for its whole subtree. Every hitting set
@@ -22,9 +23,8 @@ The search has two phases, both sound by packing duality alone:
    first element there, so the search reaches no set twice and loses no
    optimum: there are no duplicates to remove. One pass keeps every hitting
    set of size at most the best one seen. Its lower bound is the number of
-   still-unhit members of a few greedy packings, the min-weight one among
-   them (each unhit packed member needs its own element); its upper bound
-   starts at a greedy cover.
+   still-unhit members of the same packing; its upper bound starts at a
+   greedy cover.
 
 Search state lives in Python big-int bitmasks over member indices, which
 keeps the per-node cost at a handful of word operations even for thousands
@@ -84,6 +84,10 @@ class SetSystem:
 class SolverConfig:
     node_limit: int = 1_000_000_000
 
+    def __post_init__(self) -> None:
+        if self.node_limit < 0:
+            raise ValueError(f"node_limit must be nonnegative, got {self.node_limit}")
+
 
 @dataclass(frozen=True)
 class SolverResult:
@@ -118,34 +122,23 @@ class SolverResult:
 
 
 def _coverage(members: Sequence[Sequence[int]]) -> dict[int, int]:
-    """Map each element to the bitmask of the member indices that contain it."""
-    cov: dict[int, int] = {}
-    for i, s in enumerate(members):
-        bit = 1 << i
-        for e in s:
-            cov[e] = cov.get(e, 0) | bit
-    return cov
+    """Map each element to the bitmask of the member indices that contain it.
 
-
-def _greedy_packings(masks: list[int]) -> list[int]:
-    """A few pairwise-disjoint subfamilies, returned as member-index bitmasks.
-
-    Scanning orders differ so at least one packing tends to survive deep into
-    the search. Deterministic by construction.
+    Each mask is filled as a little-endian bytearray and converted once, so
+    the build is linear in the total member size (OR-ing into a growing int
+    per occurrence would copy the int every time).
     """
-    k = len(masks)
-    orders = [range(k), range(k - 1, -1, -1), list(range(k // 2, k)) + list(range(k // 2))]
-    packings: list[int] = []
-    for order in orders:
-        union = 0
-        chosen = 0
-        for i in order:
-            if not masks[i] & union:
-                union |= masks[i]
-                chosen |= 1 << i
-        if chosen not in packings:
-            packings.append(chosen)
-    return packings
+    size = (len(members) + 7) // 8
+    rows: dict[int, bytearray] = {}
+    for i, s in enumerate(members):
+        byte = i >> 3
+        bit = 1 << (i & 7)
+        for e in s:
+            row = rows.get(e)
+            if row is None:
+                row = rows[e] = bytearray(size)
+            row[byte] |= bit
+    return {e: int.from_bytes(row, "little") for e, row in rows.items()}
 
 
 def _min_weight_packing(members: Sequence[Sequence[int]], cov: dict[int, int]) -> list[int]:
@@ -168,18 +161,17 @@ def _min_weight_packing(members: Sequence[Sequence[int]], cov: dict[int, int]) -
 
 
 def _tight_transversals(
-    members: Sequence[Sequence[int]], cov: dict[int, int], tick: Callable[[], None]
-) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The min-weight packing and every hitting set that is a transversal of it.
+    members: Sequence[Sequence[int]], cov: dict[int, int], packing: Sequence[int], tick: Callable[[], None]
+) -> list[tuple[int, ...]]:
+    """Every hitting set that is a transversal of a maximal packing, sorted.
 
-    Returns (packing, solutions): packing lists member indices in scan order,
-    solutions holds every hitting set with one element from each packed
-    member, sorted. The packing proves that the minimum is at least
-    len(packing), so nonempty solutions are exactly the optima; empty
-    solutions prove that the minimum exceeds len(packing). tick() is called
-    once per element tried and may raise NodeLimitExceeded.
+    packing lists pairwise-disjoint member indices in scan order, and every
+    other member meets one of them; a transversal takes one element from each
+    packed member. The packing proves that the minimum is at least
+    len(packing), so a nonempty result is exactly the optima; an empty one
+    proves that the minimum exceeds len(packing). tick() is called once per
+    element tried and may raise NodeLimitExceeded.
     """
-    packing = _min_weight_packing(members, cov)
     slots = [members[i] for i in packing]
     p = len(slots)
     full = (1 << len(members)) - 1
@@ -212,20 +204,21 @@ def _tight_transversals(
 
     rec(0, 0)
     solutions.sort()
-    return packing, solutions
+    return solutions
 
 
 def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> SolverResult:
     """Exact minimum-size hitting sets of a set system, all of them.
 
-    First tries the tight-transversal phase (see the module docstring). When
-    the minimum exceeds the min-weight packing, falls back to branch and
-    bound in one pass: it branches on the elements of the lowest-index unhit
-    member (members are pre-sorted by size so that branch factors stay
-    small), and each branch bans the elements its earlier siblings took, so
-    every hitting set is reached at most once. It prunes a node when the
-    packing lower bound exceeds the best size seen, keeps every hitting set
-    of that size, and starts over when it finds a smaller one.
+    Builds one min-weight packing and first tries the tight-transversal
+    phase over it (see the module docstring). When the minimum exceeds the
+    packing, falls back to branch and bound in one pass: it branches on the
+    elements of the lowest-index unhit member (members are pre-sorted by size
+    so that branch factors stay small), and each branch bans the elements its
+    earlier siblings took, so every hitting set is reached at most once. It
+    prunes a node when the depth plus the number of unhit packed members
+    exceeds the best size seen, keeps every hitting set of that size, and
+    starts over when it finds a smaller one.
     """
     if config is None:
         config = SolverConfig()
@@ -248,16 +241,13 @@ def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> S
         if nodes > limit:
             raise NodeLimitExceeded
 
-    packings: list[int] = []
+    packing = _min_weight_packing(unique, cov)
+    packed = sum(1 << i for i in packing)
 
     def lower_bound(hit: int) -> int:
-        rest = full ^ hit
-        lb = 1
-        for p in packings:
-            c = (p & rest).bit_count()
-            if c > lb:
-                lb = c
-        return lb
+        # Each unhit packed member needs its own element; an unhit member
+        # needs at least one.
+        return max(1, (packed & ~hit).bit_count())
 
     def first_unhit(hit: int) -> int:
         x = full ^ hit
@@ -303,15 +293,11 @@ def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> S
             ban |= bit
 
     try:
-        packing, tight = _tight_transversals(unique, cov, tick)
+        tight = _tight_transversals(unique, cov, packing, tick)
         if tight:
             best = len(packing)
             solutions = tight
         else:
-            packings.extend(_greedy_packings([sum(1 << e for e in s) for s in unique]))
-            min_weight = sum(1 << i for i in packing)
-            if min_weight not in packings:
-                packings.append(min_weight)
             search(0, 0, 0)
     except NodeLimitExceeded:
         # best is still a valid upper bound (greedy completed); solutions

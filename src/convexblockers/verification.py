@@ -39,14 +39,14 @@ __all__ = [
 def edge_set_system(family: Iterable[EdgeSet], ctx: Context) -> SetSystem:
     """The edge sets of a family as a SetSystem over the dense edge indices of ctx.
 
-    Each member becomes the sorted tuple of its edge indices; dense index
-    order is canonical edge order, so the tuple lists the edges as sorted()
-    does. Raises ValueError, as Context.edge_index does, for an edge that is
-    not an edge of the 2m-gon.
+    Each member becomes the tuple of its edge indices, which SetSystem sorts;
+    dense index order is canonical edge order, so the sorted tuple lists the
+    edges as sorted() does. Raises ValueError, as Context.edge_index does,
+    for an edge that is not an edge of the 2m-gon.
     """
     index_of = ctx._index_of.__getitem__
     try:
-        sets = tuple(tuple(sorted(map(index_of, s))) for s in family)
+        sets = tuple(tuple(map(index_of, s)) for s in family)
     except KeyError as exc:
         ctx.edge_index(exc.args[0])  # raises the ValueError that names the edge
         raise

@@ -179,6 +179,17 @@ def test_verify_node_limit_incomplete(capsys):
     assert json.loads(out)["status"] == "inconclusive"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "--m", "2"), ("blockers", "exact", "--m", "2", "--family", "spm")],
+)
+def test_negative_node_limit_is_domain_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--node-limit", "-1")
+    assert code == 2
+    assert out == ""
+    assert "node_limit must be nonnegative" in err
+
+
 # ----------------------------------------------------------------- witness
 
 

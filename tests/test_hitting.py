@@ -20,7 +20,7 @@ from convexblockers import (
     min_hitting_sets,
     parse_edge_set,
 )
-from convexblockers.hitting import _coverage, _tight_transversals
+from convexblockers.hitting import _coverage, _min_weight_packing, _tight_transversals
 from oracles import naive_min_hitting_sets, random_set_system
 
 
@@ -120,6 +120,14 @@ def test_node_limit_reports_incomplete():
     assert res.min_size >= naive_min_hitting_sets(ground, sets)[0]
 
 
+def test_solver_config_rejects_negative_node_limit():
+    with pytest.raises(ValueError, match="node_limit must be nonnegative"):
+        SolverConfig(node_limit=-1)
+    # zero is a valid budget: the first node already exceeds it
+    res = _solve(3, [(0, 1)], node_limit=0)
+    assert (res.status, res.nodes) == ("incomplete", 1)
+
+
 def test_is_blocking_set():
     ctx = Context(2)
     fam = [s for s in enumerate_spm(ctx)]
@@ -173,9 +181,12 @@ def test_golden_solutions(m, family):
 
 
 def _tight(sets, tick=lambda: None):
-    """Run the transversal phase alone on the members as the solver orders them."""
+    """The min-weight packing and the transversal phase's solutions, on the
+    members as the solver orders them."""
     members = sorted({tuple(sorted(set(s))) for s in sets}, key=lambda s: (len(s), s))
-    return _tight_transversals(members, _coverage(members), tick)
+    cov = _coverage(members)
+    packing = _min_weight_packing(members, cov)
+    return packing, _tight_transversals(members, cov, packing, tick)
 
 
 @st.composite
@@ -281,10 +292,12 @@ def _random_system(seed):
 
 
 # SHA-256 of [min_size, solutions] as compact JSON, computed with the
-# two-pass solver that deduplicated its solutions in a set, and node ceilings
-# about 1.5x above the one-pass counts (2772, 1810, 729, 5509). The two-pass
-# solver needed 10726, 9635, 2351 and 30304 nodes, so the ceilings fail if
-# the ban on earlier siblings' elements silently stops pruning.
+# two-pass solver that deduplicated its solutions in a set. The node ceilings
+# were set about 1.5x above the one-pass counts with a lower bound over four
+# packings (2772, 1810, 729, 5509); the bound over the min-weight packing
+# alone takes 2922, 1843, 866 and 6069 nodes. The two-pass solver needed
+# 10726, 9635, 2351 and 30304, so the ceilings fail if the ban on earlier
+# siblings' elements silently stops pruning.
 FALLBACK_GOLDEN = {
     0: ("efe213168a0a827201b384fb3560a9753ced01f7318ea4a5457824dbd2e73071", 4_200),
     1: ("baf698c6219cd2ce8490a0a6ba57537712d4918dff85ef6cbb879bda7bec233b", 2_700),

@@ -1,6 +1,7 @@
 """End-to-end theorem reports and their failure detection."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -71,8 +72,6 @@ def test_report_hash_covers_content(theorem_reports):
     d = rep.to_json_dict()
     assert d["content_hash"] == rep.content_hash
     # hashing is over everything except the hash itself
-    import hashlib
-
     stripped = {k: v for k, v in d.items() if k != "content_hash"}
     blob = json.dumps(stripped, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == rep.content_hash
@@ -81,6 +80,28 @@ def test_report_hash_covers_content(theorem_reports):
 def test_reports_deterministic(theorem_reports):
     fresh = verify_theorems(3)
     assert fresh.canonical_json() == theorem_reports[3].canonical_json()
+
+
+# SHA-256 of each canonical report without content_hash and without the
+# solver node counts, which a sound change to the search may alter: the
+# mathematical content of every report for m = 2..6. The benchmark's certify
+# workload pins the same values.
+GOLDEN_REPORT_BODIES = {
+    2: "8b2027d999f2a298140b7ed74623627ab59c06a45a72ad198f86d1823c900ea5",
+    3: "a2074d5b88d8ee7d7d58289610c5a32dfaf571d14935d839cbbb46ec967de0b2",
+    4: "599051b3de5f4c4aa577649a8abf9b83158b45c5bdb65078b00fd37906c15010",
+    5: "3c13e08bd7c7f67e54d8483d4c771d1d768bcdf5aced69062c752476e8cc470b",
+    6: "1c8812e8f3647b1c755640a6941617a0f3cef128ece8b780008206fd05f5c572",
+}
+
+
+def test_golden_report_bodies(theorem_reports):
+    assert sorted(theorem_reports) == sorted(GOLDEN_REPORT_BODIES)
+    for m, rep in theorem_reports.items():
+        body = {k: v for k, v in rep.to_json_dict().items() if k != "content_hash"}
+        body["solver"] = {fam: {k: v for k, v in d.items() if k != "nodes"} for fam, d in body["solver"].items()}
+        text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORT_BODIES[m], m
 
 
 def test_passes_matches_status(theorem_reports):
