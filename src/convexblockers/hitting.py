@@ -5,37 +5,36 @@ minimum size and *all* optimal solutions of an abstract SetSystem. It sees
 nothing but index sets, so its answers are independent of any geometric
 reasoning they are later compared against.
 
-The search builds one packing and has two phases, both sound by packing
-duality alone. The packing takes pairwise-disjoint members greedily in order
-of increasing weight (the sum of the member's element frequencies); each
-packed member needs its own element, so the minimum is at least its size p.
+The search is one branch and bound, sound by packing duality alone. Before
+it starts, it packs pairwise-disjoint members greedily in order of
+increasing weight (the sum of the member's element frequencies).
 
-1. Tight transversals. If some hitting set of size p exists, every optimum
-   takes exactly one element from each packed member and nothing else. So
-   the phase scans only those transversals, pruned by deadline masks: after
-   each packing position, every member that no later position can hit must
-   already be hit. If a transversal survives, the minimum is p and the
-   survivors are all optima.
-2. Branch and bound, run only when no transversal survives (the minimum then
-   exceeds p). It branches on the elements e1..er of the first unhit member,
-   and branch i bans e1..e(i-1) for its whole subtree. Every hitting set
-   below a node meets that member, and lies below only the branch of its
-   first element there, so the search reaches no set twice and loses no
-   optimum: there are no duplicates to remove. One pass keeps every hitting
-   set of size at most the best one seen. Its lower bound is the number of
-   still-unhit members of the same packing; its upper bound starts at a
-   greedy cover.
+- Branching. It branches on the elements e1..er of the first unhit member,
+  and branch i bans e1..e(i-1) for its whole subtree. Every hitting set
+  below a node meets that member, and lies below only the branch of its
+  first element there, so the search reaches no set twice and loses no
+  optimum: there are no duplicates to remove. One pass keeps every hitting
+  set of size at most the best one seen; the best starts at a greedy cover.
+- Lower bound. The packed members that a node leaves unhit are pairwise
+  disjoint, so each needs its own element. An unhit member that meets none
+  of them is disjoint from all of them and needs one element more; with no
+  packed member unhit, any unhit member does. A node is pruned when its
+  depth plus this bound exceeds the best size. Once the best size equals
+  the packing size p, every surviving path takes its elements from
+  distinct packed members, so the search scans only the transversals of
+  the packing and drops each one as soon as a member becomes unreachable.
 
-Search state lives in Python big-int bitmasks over member indices, which
-keeps the per-node cost at a handful of word operations even for thousands
-of members. Both phases count nodes against SolverConfig.node_limit.
+Search state lives in Python big-int bitmasks over member indices and
+packing positions, which keeps the per-node cost at a handful of word
+operations even for thousands of members. Every call of the search counts
+as one node against SolverConfig.node_limit.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .geometry import EdgeSet
 
@@ -95,7 +94,8 @@ class SolverResult:
 
     status "complete" means min_size is proven and solutions is the full set
     of optima. status "incomplete" means the node budget ran out; min_size is
-    then only the best size seen (or -1 if none) and solutions may be partial.
+    then only the best size seen, an upper bound that is at least 1 (the
+    search starts from a greedy cover), and solutions may be partial or empty.
     """
 
     min_size: int
@@ -160,65 +160,16 @@ def _min_weight_packing(members: Sequence[Sequence[int]], cov: dict[int, int]) -
     return packing
 
 
-def _tight_transversals(
-    members: Sequence[Sequence[int]], cov: dict[int, int], packing: Sequence[int], tick: Callable[[], None]
-) -> list[tuple[int, ...]]:
-    """Every hitting set that is a transversal of a maximal packing, sorted.
-
-    packing lists pairwise-disjoint member indices in scan order, and every
-    other member meets one of them; a transversal takes one element from each
-    packed member. The packing proves that the minimum is at least
-    len(packing), so a nonempty result is exactly the optima; an empty one
-    proves that the minimum exceeds len(packing). tick() is called once per
-    element tried and may raise NodeLimitExceeded.
-    """
-    slots = [members[i] for i in packing]
-    p = len(slots)
-    full = (1 << len(members)) - 1
-    # reach[j]: members that an element of slot j or a later slot can hit.
-    # The packing is maximal, so every member meets some slot: reach[0] is full.
-    reach = [0] * (p + 1)
-    for j in range(p - 1, -1, -1):
-        acc = reach[j + 1]
-        for e in slots[j]:
-            acc |= cov[e]
-        reach[j] = acc
-    # due[j]: members past their deadline once slot j is filled; they must be hit.
-    due = [full ^ reach[j + 1] for j in range(p)]
-
-    solutions: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-
-    def rec(j: int, hit: int) -> None:
-        for e in slots[j]:
-            tick()
-            h = hit | cov[e]
-            if due[j] & ~h:
-                continue
-            chosen.append(e)
-            if j == p - 1:
-                solutions.append(tuple(sorted(chosen)))
-            else:
-                rec(j + 1, h)
-            chosen.pop()
-
-    rec(0, 0)
-    solutions.sort()
-    return solutions
-
-
 def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> SolverResult:
     """Exact minimum-size hitting sets of a set system, all of them.
 
-    Builds one min-weight packing and first tries the tight-transversal
-    phase over it (see the module docstring). When the minimum exceeds the
-    packing, falls back to branch and bound in one pass: it branches on the
-    elements of the lowest-index unhit member (members are pre-sorted by size
-    so that branch factors stay small), and each branch bans the elements its
-    earlier siblings took, so every hitting set is reached at most once. It
-    prunes a node when the depth plus the number of unhit packed members
-    exceeds the best size seen, keeps every hitting set of that size, and
-    starts over when it finds a smaller one.
+    One branch and bound over the min-weight packing (see the module
+    docstring). It branches on the elements of the lowest-index unhit member
+    (members are pre-sorted by size so that branch factors stay small), and
+    each branch bans the elements its earlier siblings took, so every hitting
+    set is reached at most once. It prunes a node when the depth plus the
+    packing bound exceeds the best size seen, keeps every hitting set of that
+    size, and starts over when it finds a smaller one.
     """
     if config is None:
         config = SolverConfig()
@@ -232,22 +183,18 @@ def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> S
     full = (1 << k) - 1
     cov = _coverage(unique)
 
-    nodes = 0
-    limit = config.node_limit
-
-    def tick() -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > limit:
-            raise NodeLimitExceeded
-
     packing = _min_weight_packing(unique, cov)
-    packed = sum(1 << i for i in packing)
-
-    def lower_bound(hit: int) -> int:
-        # Each unhit packed member needs its own element; an unhit member
-        # needs at least one.
-        return max(1, (packed & ~hit).bit_count())
+    # slot[e]: the bit of the packing position whose member holds e, or 0
+    # (packed members are disjoint). reach[j]: the members that meet the
+    # member at packing position j.
+    slot = [0] * system.ground_size
+    reach = []
+    for j, i in enumerate(packing):
+        meets = 0
+        for e in unique[i]:
+            slot[e] = 1 << j
+            meets |= cov[e]
+        reach.append(meets)
 
     def first_unhit(hit: int) -> int:
         x = full ^ hit
@@ -263,42 +210,56 @@ def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> S
         greedy_size += 1
 
     best = greedy_size
+    nodes = 0
+    limit = config.node_limit
     status = "complete"
     solutions: list[tuple[int, ...]] = []
     chosen: list[int] = []
 
-    def search(hit: int, depth: int, ban: int) -> None:
+    def search(hit: int, depth: int, ban: int, unhit_slots: int) -> None:
         # Collects every hitting set of size <= best; ban holds the elements
-        # that earlier siblings on the path already tried.
-        nonlocal best
-        tick()
+        # that earlier siblings on the path already tried, unhit_slots the
+        # packing positions whose member is still unhit.
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > limit:
+            raise NodeLimitExceeded
         if hit == full:
-            # depth <= best: the parent passed depth - 1 + lower_bound <= best
-            # with lower_bound >= 1, and best has since dropped only to the
-            # sizes of the parent's descendants, all >= depth.
+            # depth <= best: the parent passed depth - 1 + bound <= best with
+            # bound >= 1, and best has since dropped only to the sizes of the
+            # parent's descendants, all >= depth.
             if depth < best:
                 best = depth
                 solutions.clear()
             solutions.append(tuple(sorted(chosen)))
             return
-        if depth + lower_bound(hit) > best:
+        # Lower bound: each unhit packed member needs its own element, and
+        # an unhit member that meets none of them (any unhit member, when no
+        # packed member is unhit) needs one more. The extra member is looked
+        # for only when it decides the prune.
+        need = depth + unhit_slots.bit_count()
+        if need > best:
             return
+        if need == best:
+            covered = hit
+            x = unhit_slots
+            while x:
+                low = x & -x
+                covered |= reach[low.bit_length() - 1]
+                x ^= low
+            if covered != full:
+                return
         for e in unique[first_unhit(hit)]:
             bit = 1 << e
             if ban & bit:
                 continue
             chosen.append(e)
-            search(hit | cov[e], depth + 1, ban)
+            search(hit | cov[e], depth + 1, ban, unhit_slots & ~slot[e])
             chosen.pop()
             ban |= bit
 
     try:
-        tight = _tight_transversals(unique, cov, packing, tick)
-        if tight:
-            best = len(packing)
-            solutions = tight
-        else:
-            search(0, 0, 0)
+        search(0, 0, 0, (1 << len(packing)) - 1)
     except NodeLimitExceeded:
         # best is still a valid upper bound (greedy completed); solutions
         # holds the hitting sets of size best found so far, which status

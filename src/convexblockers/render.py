@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from html import escape
 
 from .geometry import Context, Edge, SimplePath, direction
 
@@ -77,7 +78,7 @@ def render_svg(spec: RenderSpec) -> str:
         if isinstance(layer.content, SimplePath):
             for v in layer.content.vertices:
                 ctx.check_vertex(v)
-        out.append(f"<g>{'' if layer.label is None else f'<title>{layer.label}</title>'}")
+        out.append(f"<g>{'' if layer.label is None else f'<title>{escape(layer.label, quote=False)}</title>'}")
         for e in edges:
             x1, y1 = _vertex_xy(e.a, n, RADIUS)
             x2, y2 = _vertex_xy(e.b, n, RADIUS)
@@ -105,7 +106,7 @@ def render_svg(spec: RenderSpec) -> str:
     legend_y = 18
     for layer in spec.layers:
         if layer.label:
-            out.append(f'<text x="10" y="{legend_y}" font-size="12">{layer.label} ({layer.style})</text>')
+            out.append(f'<text x="10" y="{legend_y}" font-size="12">{escape(layer.label, quote=False)} ({layer.style})</text>')
             legend_y += 16
 
     out.append("</svg>")

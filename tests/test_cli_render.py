@@ -335,6 +335,15 @@ def test_render_labels_off():
     assert root.findall(".//s:text", ns) == []
 
 
+def test_render_escapes_layer_label():
+    label = "M & H <x>"
+    spec = RenderSpec(m=2, layers=(Layer(content=parse_edge_set("0-1"), label=label),))
+    root = ET.fromstring(render_svg(spec))
+    ns = {"s": "http://www.w3.org/2000/svg"}
+    assert root.find(".//s:g/s:title", ns).text == label
+    assert f"{label} (solid)" in [t.text for t in root.findall("s:text", ns)]
+
+
 def test_render_rejects_unknown_style():
     spec = RenderSpec(m=2, layers=(Layer(content=parse_edge_set("0-1"), style="wavy"),))
     with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from convexblockers import (
     min_hitting_sets,
     parse_edge_set,
 )
-from convexblockers.hitting import _coverage, _min_weight_packing, _tight_transversals
+from convexblockers.hitting import _coverage, _min_weight_packing
 from oracles import naive_min_hitting_sets, random_set_system
 
 
@@ -137,11 +137,13 @@ def test_is_blocking_set():
         assert is_blocking_set(parse_edge_set("0-1"), [])
 
 
-# ------------------------------------------------- tight-transversal phase
+# ------------------------------------- geometric families, planted packings
 
-# SHA-256 of the solver's solution list, as compact JSON, computed with the
-# branch-and-bound-only solver before the transversal phase existed. Both
-# families have the same blockers, so one digest per m serves both.
+# SHA-256 of the solver's solution list, as compact JSON: m = 2..7 computed
+# with the branch-and-bound-only solver of the first release, m = 8 with the
+# two-phase solver that scanned the packing's tight transversals before its
+# branch and bound. Both families have the same blockers, so one digest per m
+# serves both.
 GOLDEN_SOLUTIONS = {
     2: "db493adc287bfa6793c57a8774a2a01afc8399d090e51d19f36ba7d4cbdebc2a",
     3: "dee33e9971e4c8af556eb6701c5f68c6d5ded0f9cf371a07ba0a8884581663c8",
@@ -149,14 +151,17 @@ GOLDEN_SOLUTIONS = {
     5: "2284e8ea7373ab34a8c1a62826ca2ff544bea84b6f10c793b3959713cfc46bdc",
     6: "d6c52e64e5114f0f920cdaeb9dce1f385bc07fde69d76789549e15bb28706b0a",
     7: "43367a07265974573c6ae2ab95ea53778ee5c68d9e10e2059bef8209f407349c",
+    8: "9851acf34154fce1d2cf89e655ca33f3899b9a27939d647758dc27f99e5fc1c1",
 }
 
 # Node counts are deterministic. The ceilings sit about 1.5x above today's
-# counts and far below branch and bound alone (696,885 nodes for shp at m=6),
-# so they fail if the transversal phase silently stops deciding.
+# counts (shp: 3078 at m=6, 10,871 at m=7, 37,273 at m=8). Without the extra
+# member in the lower bound, shp at m=7 takes 43,932 nodes; the two-phase
+# solver took 41,041 and branch and bound with no packing 15,451,828. So the
+# ceilings fail if either term of the bound silently stops pruning.
 NODE_CEILINGS = {
-    "spm": {2: 10, 3: 60, 4: 300, 5: 1_200, 6: 4_500, 7: 15_000},
-    "shp": {2: 20, 3: 130, 4: 750, 5: 3_600, 6: 15_000, 7: 60_000},
+    "spm": {2: 11, 3: 45, 4: 160, 5: 560, 6: 1_700, 7: 4_900, 8: 14_000},
+    "shp": {2: 17, 3: 75, 4: 330, 5: 1_250, 6: 4_600, 7: 16_000, 8: 56_000},
 }
 
 
@@ -170,7 +175,7 @@ def _family_system(m, family):
 
 
 @pytest.mark.parametrize("family", ["spm", "shp"])
-@pytest.mark.parametrize("m", range(2, 8))
+@pytest.mark.parametrize("m", range(2, 9))
 def test_golden_solutions(m, family):
     res = min_hitting_sets(_family_system(m, family))
     assert res.status == "complete"
@@ -180,13 +185,10 @@ def test_golden_solutions(m, family):
     assert res.nodes < NODE_CEILINGS[family][m]
 
 
-def _tight(sets, tick=lambda: None):
-    """The min-weight packing and the transversal phase's solutions, on the
-    members as the solver orders them."""
+def _packing(sets):
+    """The solver's min-weight packing, on the members as the solver orders them."""
     members = sorted({tuple(sorted(set(s))) for s in sets}, key=lambda s: (len(s), s))
-    cov = _coverage(members)
-    packing = _min_weight_packing(members, cov)
-    return packing, _tight_transversals(members, cov, packing, tick)
+    return _min_weight_packing(members, _coverage(members))
 
 
 @st.composite
@@ -219,7 +221,7 @@ def fallback_systems(draw):
     """A planted system plus an odd cycle of pairs on fresh elements.
 
     The cycle C of length 2r+1 packs only r pairs but needs r+1 elements, so
-    the minimum exceeds every packing and the fallback must decide.
+    the minimum exceeds every packing.
     """
     ground, sets, k = draw(planted_systems(max_blocks=2))
     length = draw(st.sampled_from([3, 5]))
@@ -229,10 +231,9 @@ def fallback_systems(draw):
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(planted_systems())
-def test_transversal_phase_decides_planted_packing(case):
+def test_planted_packing_is_tight(case):
     ground, sets, k = case
-    packing, solutions = _tight(sets)
-    assert len(packing) == k and solutions  # the phase took this case
+    assert len(_packing(sets)) == k
     want_size, want_sols = naive_min_hitting_sets(ground, sets)
     res = _solve(ground, sets)
     assert res.status == "complete"
@@ -244,28 +245,26 @@ def test_transversal_phase_decides_planted_packing(case):
 @given(fallback_systems())
 def test_fallback_decides_when_minimum_exceeds_packing(case):
     ground, sets, want_min = case
-    packing, solutions = _tight(sets)
-    assert solutions == []  # the phase proved min > len(packing) and deferred
     want_size, want_sols = naive_min_hitting_sets(ground, sets)
     res = _solve(ground, sets)
     assert res.status == "complete"
-    assert res.min_size == want_size == want_min > len(packing)
+    assert res.min_size == want_size == want_min > len(_packing(sets))
     assert list(res.solutions) == sorted(want_sols)
 
 
-def test_transversal_phase_on_odd_cycle():
+def test_odd_cycle_exceeds_packing():
     # three pairwise-meeting pairs: one fits in a packing, two elements needed
-    packing, solutions = _tight([(0, 1), (1, 2), (0, 2)])
-    assert len(packing) == 1 and solutions == []
+    assert len(_packing([(0, 1), (1, 2), (0, 2)])) == 1
     res = _solve(3, [(0, 1), (1, 2), (0, 2)])
     assert (res.min_size, res.solutions) == (2, ((0, 1), (0, 2), (1, 2)))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(planted_systems(min_blocks=4, max_blocks=6))
-def test_node_limit_in_transversal_phase(case):
-    # a full transversal needs one node per packed member, at least 4, so a
-    # limit of 3 always stops the phase before it finds a solution
+def test_node_limit_before_first_solution(case):
+    # a hitting set needs one element per packed member, at least 4, and the
+    # search spends one node per element on its path, so a limit of 3 always
+    # stops it before it finds a solution
     ground, sets, k = case
     res = _solve(ground, sets, node_limit=3)
     assert res.status == "incomplete"
@@ -281,8 +280,7 @@ def test_node_limit_in_transversal_phase(case):
 def _random_system(seed):
     """Ground 22 and 64 distinct members of size 3..5, drawn from seed.
 
-    The minimum (7 to 9) exceeds every greedy packing, so only the branch
-    and bound decides these systems.
+    The minimum (7 to 9) exceeds every greedy packing.
     """
     rng = random.Random(seed)
     sets = set()
@@ -295,9 +293,9 @@ def _random_system(seed):
 # two-pass solver that deduplicated its solutions in a set. The node ceilings
 # were set about 1.5x above the one-pass counts with a lower bound over four
 # packings (2772, 1810, 729, 5509); the bound over the min-weight packing
-# alone takes 2922, 1843, 866 and 6069 nodes. The two-pass solver needed
-# 10726, 9635, 2351 and 30304, so the ceilings fail if the ban on earlier
-# siblings' elements silently stops pruning.
+# with its extra member takes 2479, 1435, 596 and 4405 nodes. The two-pass
+# solver needed 10726, 9635, 2351 and 30304, so the ceilings fail if the ban
+# on earlier siblings' elements silently stops pruning.
 FALLBACK_GOLDEN = {
     0: ("efe213168a0a827201b384fb3560a9753ced01f7318ea4a5457824dbd2e73071", 4_200),
     1: ("baf698c6219cd2ce8490a0a6ba57537712d4918dff85ef6cbb879bda7bec233b", 2_700),
@@ -309,9 +307,9 @@ FALLBACK_GOLDEN = {
 @pytest.mark.parametrize("seed", sorted(FALLBACK_GOLDEN))
 def test_fallback_golden_random_systems(seed):
     system = _random_system(seed)
-    assert _tight(system.sets)[1] == []  # the branch and bound decides
     res = min_hitting_sets(system)
     assert res.status == "complete"
+    assert res.min_size > len(_packing(system.sets))
     text = json.dumps([res.min_size, [list(s) for s in res.solutions]], separators=(",", ":"))
     digest, ceiling = FALLBACK_GOLDEN[seed]
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -322,17 +320,9 @@ def test_fallback_golden_random_systems(seed):
 @given(fallback_systems(), st.data())
 def test_node_limit_in_branch_and_bound(case, data):
     ground, sets, _ = case
-    phase_nodes = 0
-
-    def tick():
-        nonlocal phase_nodes
-        phase_nodes += 1
-
-    _tight(sets, tick)
     total = _solve(ground, sets).nodes
-    # any limit from one node past the phase to one short of a full solve
-    # stops the branch and bound somewhere inside
-    limit = data.draw(st.integers(phase_nodes + 1, total - 1))
+    # any limit short of a full solve stops the search somewhere inside
+    limit = data.draw(st.integers(1, total - 1))
     res = _solve(ground, sets, node_limit=limit)
     assert res.status == "incomplete"
     assert res.nodes == limit + 1
