@@ -5,13 +5,17 @@ H(ctx): all simple (noncrossing) Hamiltonian paths.
 
 Both enumerators are exact and deterministic, and at every m they yield the
 whole family in canonical sorted order: matchings by their sorted edge
-tuples, paths by their canonical vertex tuples. The test suite
+tuples, paths by their canonical vertex tuples. M comes from a chord-split
+recursion. H comes from one start-independent table: the vertex offsets of
+every end-choice string, built once and rotated to each start with C-level
+maps, so no path is walked vertex by vertex in Python. The test suite
 cross-validates H against an independent depth-first oracle and a
-permutation scan.
+permutation scan, and pins the order of H by digest at m = 6..8.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterator
 
 from .geometry import Context, Edge, EdgeSet, SimplePath
@@ -51,6 +55,28 @@ def enumerate_spm(ctx: Context) -> Iterator[EdgeSet]:
     yield from sorted(_spm_segments(tuple(range(ctx.n))), key=lambda s: tuple(sorted(s)))
 
 
+def _offsets_by_end(n: int) -> list[list[bytes]]:
+    """The walks of every end-choice string, as vertex offsets from the start.
+
+    A walk from vertex 0 of the n-gon keeps its unvisited vertices on the arc
+    lo..hi and steps to one end of it. After k steps lo - 1 of them went low,
+    so lo alone fixes hi = n - 2 - k + lo, and the walks are kept in buckets
+    by lo. Entry e of the result lists every walk that ends at offset e, one
+    byte per vertex: e = 1 + the number of low steps, from 1 to n - 1.
+    """
+    by_lo: list[list[bytes]] = [[] for _ in range(n)]
+    by_lo[1] = [b"\0"]
+    for k in range(n - 2):
+        nxt: list[list[bytes]] = [[] for _ in range(n)]
+        for lo in range(1, k + 2):
+            walks = by_lo[lo]
+            nxt[lo + 1] += map(bytes.__add__, walks, repeat(bytes((lo,))))
+            nxt[lo] += map(bytes.__add__, walks, repeat(bytes((n - 2 - k + lo,))))
+        by_lo = nxt
+    # lo == hi: the last vertex is forced.
+    return [list(map(bytes.__add__, walks, repeat(bytes((lo,))))) for lo, walks in enumerate(by_lo)]
+
+
 def enumerate_shp(ctx: Context) -> Iterator[SimplePath]:
     """Yield every simple Hamiltonian path once, canonically ordered.
 
@@ -58,32 +84,39 @@ def enumerate_shp(ctx: Context) -> Iterator[SimplePath]:
     vertices a contiguous circular arc and always steps to one of the two arc
     ends. Conversely every end-choice string yields a noncrossing path, so
     the 2m starts times 2^(2m-2) choice strings give each undirected path
-    exactly twice, once read from each end. The low arc end advances once per
-    1-bit, so a reading ends at start + 1 + popcount(bits) mod 2m. Only the
-    readings that end above their start are built: those are the canonical
-    ones, one per undirected path.
+    exactly twice, once read from each end. A string's vertex offsets from
+    its start do not depend on the start, so they are built once per call,
+    bucketed by the end offset 1 + (number of low steps). A reading from
+    start s ends at s + offset mod 2m, above s exactly when the offset is
+    below 2m - s; only those buckets are rotated to start s, and they give
+    the canonical readings, one per undirected path.
+
+    Offsets and readings are byte strings, one byte per vertex: rotation is
+    bytes.translate, and bytes of equal length sort as their vertex tuples
+    do. Readings are sorted per start, which is their first vertex, so the
+    starts in turn give the global order; each start's readings become vertex
+    tuples before the next start is rotated. The offset table is dropped
+    before the first path is yielded.
     """
     n = ctx.n
+    by_end = _offsets_by_end(n)
+    offsets = bytes(range(n))
     found: list[tuple[int, ...]] = []
     for start in range(n):
-        for bits in range(1 << (n - 2)):
-            if (start + 1 + bits.bit_count()) % n < start:
-                continue
-            lo = (start + 1) % n
-            hi = (start - 1) % n
-            seq = [start]
-            for step in range(n - 2):
-                if (bits >> step) & 1:
-                    seq.append(lo)
-                    lo = (lo + 1) % n
-                else:
-                    seq.append(hi)
-                    hi = (hi - 1) % n
-            seq.append(lo)  # lo == hi: the last vertex is forced
-            found.append(tuple(seq))
-    found.sort()
-    for tup in found:
-        yield SimplePath(tup)
+        rotation = bytes.maketrans(offsets, offsets[start:] + offsets[:start])
+        readings: list[bytes] = []
+        for end in range(1, n - start):
+            readings += map(bytes.translate, by_end[end], repeat(rotation))
+        readings.sort()
+        found += map(tuple, readings)
+    del by_end
+    # SimplePath(t) with a tuple t stores t as is; skip its __init__ and
+    # __post_init__ and set the one field the way they do.
+    new, set_field = object.__new__, object.__setattr__
+    for vertices in found:
+        path = new(SimplePath)
+        set_field(path, "vertices", vertices)
+        yield path
 
 
 def odd_position_matching(p: SimplePath, ctx: Context) -> EdgeSet:

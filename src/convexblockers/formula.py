@@ -29,11 +29,10 @@ from .geometry import (
     Context,
     Edge,
     EdgeSet,
+    _edge,
     crosses,
     direction,
     is_boundary,
-    order,
-    rotate,
 )
 
 __all__ = [
@@ -97,11 +96,10 @@ def realize(spec: BlockerSpec, ctx: Context) -> EdgeSet:
     forward endpoint stays <= 2m-2: no label wraps before the final rotation.
     """
     _validate(spec, ctx)
-    t = spec.t
-    edges = [Edge(i - 1, i) for i in range(1, t + 1)]
-    for j, eps in enumerate(spec.epsilons, start=1):
-        edges.append(Edge(t + j - 1 - eps, t + j + eps))
-    return rotate(edges, spec.r % ctx.n, ctx)
+    n, r, t = ctx.n, spec.r, spec.t
+    ends = [(i - 1, i) for i in range(1, t + 1)]
+    ends += ((t + j - 1 - eps, t + j + eps) for j, eps in enumerate(spec.epsilons, start=1))
+    return frozenset(_edge((a + r) % n, (b + r) % n) for a, b in ends)
 
 
 def iter_blocker_specs(ctx: Context) -> Iterator[BlockerSpec]:
@@ -146,17 +144,17 @@ def _adjacency(s: EdgeSet) -> dict[int, list[int]]:
     return adj
 
 
-def _tree_path(adj: dict[int, list[int]], u: int, v: int) -> tuple[int, ...] | None:
-    """The unique simple u..v path in a tree, as a vertex tuple."""
-    stack = [(u, (u,))]
+def _paths_from(adj: dict[int, list[int]], u: int) -> dict[int, tuple[int, ...]]:
+    """The unique simple path from u to every vertex of a tree, as vertex tuples."""
+    paths = {u: (u,)}
+    stack = [u]
     while stack:
-        node, path = stack.pop()
-        if node == v:
-            return path
+        node = stack.pop()
         for w in adj[node]:
-            if len(path) < 2 or w != path[-2]:
-                stack.append((w, path + (w,)))
-    return None
+            if w not in paths:
+                paths[w] = paths[node] + (w,)
+                stack.append(w)
+    return paths
 
 
 def validate_structure(s: EdgeSet, ctx: Context) -> CaterpillarReport:
@@ -199,18 +197,19 @@ def validate_structure(s: EdgeSet, ctx: Context) -> CaterpillarReport:
         )
 
         # Longest paths of the tree; accept any that is all boundary edges.
-        paths: dict[tuple[int, int], tuple[int, ...]] = {}
-        for i, u in enumerate(vertices):
-            for v in vertices[i + 1 :]:
-                p = _tree_path(adj, u, v)
-                if p is not None:
-                    paths[(u, v)] = p
-        diameter = max(len(p) for p in paths.values()) - 1
+        # A path that ends at a non-leaf extends past it, so every longest
+        # path joins two leaves: one search from each leaf finds them all.
+        ordered_leaves = sorted(leaves)
+        paths: list[tuple[int, ...]] = []
+        for i, u in enumerate(ordered_leaves):
+            from_u = _paths_from(adj, u)
+            paths += (from_u[v] for v in ordered_leaves[i + 1 :])
+        diameter = max(map(len, paths)) - 1
         candidates = []
-        for p in paths.values():
+        for p in paths:
             if len(p) - 1 != diameter or diameter < 2:
                 continue
-            if all(is_boundary(Edge(p[i], p[i + 1]), ctx) for i in range(len(p) - 1)):
+            if all(is_boundary(e, ctx) for e in map(_edge, p, p[1:])):
                 rev = p[::-1]
                 candidates.append(p if p <= rev else rev)
         if candidates:

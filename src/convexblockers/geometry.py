@@ -63,11 +63,18 @@ class Edge(collections.namedtuple("Edge", ["a", "b"])):
         return f"{self.a}-{self.b}"
 
 
-# One shared Edge per ordered vertex pair, built on first use: the families
-# hold millions of edge occurrences but only n(n-1) distinct pairs, so paths
-# reuse these values instead of allocating a tuple per occurrence. Failed
-# calls are not cached, so a degenerate pair raises every time.
-_edge = cache(Edge)
+@cache
+def _edge(a: int, b: int) -> Edge:
+    """The one shared Edge of a vertex pair, built on first use.
+
+    The families hold millions of edge occurrences but only n(n-1)/2
+    distinct pairs, so paths, rotations, reflections, the edge table of
+    Context and the formula family reuse these values instead of allocating
+    a tuple per occurrence. Both orders of a pair give the same object.
+    Failed calls are not cached, so a degenerate pair raises every time.
+    """
+    return _edge(b, a) if a > b else Edge(a, b)
+
 
 # An edge set is a plain frozenset of Edge values. Canonical iteration order
 # is sorted(), which coincides with the dense index order of Context.
@@ -104,7 +111,7 @@ class Context:
         these indices are how the hitting-set layer sees edge sets.
         """
         n = self.n
-        return tuple(Edge(a, b) for a in range(n) for b in range(a + 1, n))
+        return tuple(_edge(a, b) for a in range(n) for b in range(a + 1, n))
 
     @cached_property
     def _index_of(self) -> dict[Edge, int]:
@@ -185,13 +192,13 @@ def direction_class(k: int, ctx: Context) -> EdgeSet:
 def rotate(s: Iterable[Edge], r: int, ctx: Context) -> EdgeSet:
     """Rotate an edge set by r vertices; directions shift by 2r mod 2m."""
     n = ctx.n
-    return frozenset(Edge((e.a + r) % n, (e.b + r) % n) for e in s)
+    return frozenset(_edge((e.a + r) % n, (e.b + r) % n) for e in s)
 
 
 def reflect(s: Iterable[Edge], axis: int, ctx: Context) -> EdgeSet:
     """Reflect an edge set by v -> axis - v mod 2m; direction k maps to 2*axis - k."""
     n = ctx.n
-    return frozenset(Edge((axis - e.a) % n, (axis - e.b) % n) for e in s)
+    return frozenset(_edge((axis - e.a) % n, (axis - e.b) % n) for e in s)
 
 
 @dataclass(frozen=True)

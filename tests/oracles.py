@@ -3,7 +3,9 @@
 Everything here is deliberately dumb: floating-point geometry instead of
 index arithmetic, exhaustive enumeration instead of recursion schemes,
 subset scans instead of branch and bound. Slow but hard to get wrong,
-and sharing no code path with the package under test.
+and sharing no code path with the package under test. The one import from
+the package is CaterpillarReport, a plain record, so that shape reports
+compare directly.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+
+from convexblockers import CaterpillarReport
 
 
 def _xy(v: int, n: int) -> tuple[float, float]:
@@ -100,7 +104,7 @@ def enumerate_shp_dfs(n: int) -> set[tuple[int, ...]]:
 
     Grows paths one vertex at a time and rejects any extension edge that
     crosses an edge already on the path, using the float oracle. Cheaper
-    than the permutation scan, so it reaches n = 10.
+    than the permutation scan, so it reaches n = 12 in a few seconds.
     """
     edges = list(itertools.combinations(range(n), 2))
     index = {e: i for i, e in enumerate(edges)}
@@ -133,6 +137,71 @@ def enumerate_shp_dfs(n: int) -> set[tuple[int, ...]]:
         path = [start]
         extend(1 << start, 0)
     return found
+
+
+def validate_structure_all_pairs(edges, n: int) -> CaterpillarReport:
+    """The shape report of an edge set, with the spine sought over all vertex pairs.
+
+    Takes (a, b) pairs on the n-gon. Tree by search from one vertex,
+    crossings by the float oracle, caterpillar by stripping the leaves, and
+    the boundary spine as the smallest canonical reading among the longest
+    tree paths that use only boundary edges, where the tree path of every
+    pair of vertices is found by its own depth-first search.
+    """
+    edges = sorted({tuple(sorted(e)) for e in edges})
+    adj: dict[int, list[int]] = {}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    vertices = sorted(adj)
+
+    seen = {vertices[0]}
+    stack = [vertices[0]]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    is_tree = len(seen) == len(vertices) and len(edges) == len(vertices) - 1
+
+    is_noncrossing = not any(crosses_float(e1, e2, n) for e1, e2 in itertools.combinations(edges, 2))
+
+    def tree_path(u: int, v: int):
+        stack = [(u, (u,))]
+        while stack:
+            node, path = stack.pop()
+            if node == v:
+                return path
+            for w in adj[node]:
+                if len(path) < 2 or w != path[-2]:
+                    stack.append((w, path + (w,)))
+        return None
+
+    is_caterpillar = False
+    boundary_spine = None
+    if is_tree:
+        leaves = {v for v in vertices if len(adj[v]) == 1}
+        is_caterpillar = all(
+            sum(1 for w in adj[v] if w not in leaves) <= 2 for v in vertices if v not in leaves
+        )
+        paths = [tree_path(u, v) for u, v in itertools.combinations(vertices, 2)]
+        diameter = max(len(p) for p in paths) - 1
+        candidates = [
+            min(p, p[::-1])
+            for p in paths
+            if len(p) - 1 == diameter >= 2
+            and all((p[i + 1] - p[i]) % n in (1, n - 1) for i in range(len(p) - 1))
+        ]
+        if candidates:
+            boundary_spine = min(candidates)
+
+    return CaterpillarReport(
+        is_tree=is_tree,
+        is_noncrossing=is_noncrossing,
+        is_caterpillar=is_caterpillar,
+        boundary_spine=boundary_spine,
+        direction_profile=tuple(sorted((a + b) % n for a, b in edges)),
+    )
 
 
 def naive_min_hitting_sets(

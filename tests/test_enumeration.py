@@ -1,6 +1,8 @@
 """Enumerators vs. brute-force oracles and closed-form counts."""
 
+import hashlib
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,15 @@ from convexblockers import (
 from oracles import brute_hamiltonian_paths, brute_perfect_matchings, enumerate_shp_dfs
 
 CATALAN = {2: 2, 3: 5, 4: 14, 5: 42, 6: 132, 7: 429, 8: 1430}
+
+# SHA-256 over the vertex tuples that enumerate_shp yields, in order, one
+# line "v0,v1,...\n" per path; computed with the bit-by-bit enumerator that
+# walked every (start, choice string) pair.
+SHP_ORDER_DIGESTS = {
+    6: "612567d018bf26ce74d1e970cf9b71f93fa5705b203d5e25d0591531a39e4d25",
+    7: "d2f94ff375ce178186bb6bcaffcedd88316c274b82e622800838bb0ed31bbc9f",
+    8: "71f0655a8595e79b9e0994f86c4e2a05dd2443d416e83cfe0a6ae4463f3d92a2",
+}
 
 
 def _shp_count(m: int) -> int:
@@ -61,11 +72,28 @@ def test_shp_against_permutation_oracle(m):
     assert got == want
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_fast_shp_agrees_with_dfs(m):
     ctx = Context(m)
     fast = {p.canonical().vertices for p in enumerate_shp(ctx)}
     assert fast == enumerate_shp_dfs(ctx.n)
+
+
+@pytest.mark.parametrize("m", sorted(SHP_ORDER_DIGESTS))
+def test_shp_order_pinned(m):
+    h = hashlib.sha256()
+    for p in enumerate_shp(Context(m)):
+        h.update(",".join(map(str, p.vertices)).encode() + b"\n")
+    assert h.hexdigest() == SHP_ORDER_DIGESTS[m]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_yielded_paths_are_plain_simple_paths(m):
+    for p in enumerate_shp(Context(m)):
+        q = SimplePath(p.vertices)
+        assert type(p) is SimplePath and type(p.vertices) is tuple
+        assert p == q and hash(p) == hash(q) and vars(p) == vars(q)
+        assert pickle.dumps(p) == pickle.dumps(q)
 
 
 def test_every_enumerated_object_is_valid():

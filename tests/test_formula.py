@@ -3,11 +3,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexblockers import (
     BlockerSpec,
     Context,
     Edge,
+    SimplePath,
     canonical_spm_family,
     direction,
     direction_sweep_check,
@@ -18,8 +21,11 @@ from convexblockers import (
     parse_blocker_spec,
     parse_edge_set,
     realize,
+    reflect,
+    rotate,
     validate_structure,
 )
+from oracles import validate_structure_all_pairs
 
 KNOWN_12GON_BLOCKER = "0-1,1-2,1-10,2-3,2-5,2-7"
 
@@ -179,6 +185,59 @@ def test_validate_structure_rejects_empty_and_out_of_range():
         validate_structure(frozenset(), Context(3))
     with pytest.raises(ValueError):
         validate_structure(parse_edge_set("0-9"), Context(3))
+
+
+@st.composite
+def shaped_edge_sets(draw):
+    """(m, vertex pairs) on the 2m-gon: a random tree, a forest, a tree with
+    extra chords (cycles, crossings), a spider (a tree that is no
+    caterpillar), or a tree grown from a run of boundary edges."""
+    kind = draw(st.sampled_from(["tree", "forest", "extra", "spider", "spined"]))
+    m = draw(st.integers(4 if kind == "spider" else 3, 7))
+    n = 2 * m
+    labels = draw(st.permutations(range(n)))
+    if kind == "spider":
+        hub, a1, a2, b1, b2, c1, c2 = labels[:7]
+        return m, {(hub, a1), (a1, a2), (hub, b1), (b1, b2), (hub, c1), (c1, c2)}
+    if kind == "spined":
+        start, run = draw(st.integers(0, n - 1)), draw(st.integers(2, n - 1))
+        spine = [(start + i) % n for i in range(run + 1)]
+        labels = spine + [v for v in labels if v not in spine]
+    else:
+        spine = labels[:1]
+    k = draw(st.integers(max(len(spine), 3 if kind == "forest" else 2), n))
+    pairs = set(zip(spine[1:], spine))
+    pairs |= {(labels[i], labels[draw(st.integers(0, i - 1))]) for i in range(len(spine), k)}
+    if kind == "forest":
+        pairs -= draw(st.sets(st.sampled_from(sorted(pairs)), min_size=1, max_size=len(pairs) - 1))
+    if kind == "extra":
+        chord = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+        pairs |= draw(st.sets(chord, min_size=1, max_size=3))
+    return m, pairs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(shaped_edge_sets())
+def test_validate_structure_matches_all_pairs_oracle(case):
+    m, pairs = case
+    s = frozenset(Edge(a, b) for a, b in pairs)
+    assert validate_structure(s, Context(m)) == validate_structure_all_pairs(pairs, 2 * m)
+
+
+def test_formula_members_match_all_pairs_oracle():
+    for m in range(2, 8):
+        ctx = Context(m)
+        for s in enumerate_formula_family(ctx):
+            assert validate_structure(s, ctx) == validate_structure_all_pairs(s, ctx.n), format_edge_set(s)
+
+
+def test_every_layer_shares_one_edge_per_pair():
+    ctx = Context(4)
+    s = realize(BlockerSpec(r=5, t=2, epsilons=(1, 2)), ctx)
+    path = SimplePath((0, 7, 1, 6, 2, 5, 3, 4))
+    layers = [s, rotate(s, 3, ctx), reflect(s, 6, ctx), path.edges(), path.edge_set(), *ctx.direction_classes]
+    for e in itertools.chain(*layers):
+        assert e is ctx.all_edges[ctx.edge_index(e)]
 
 
 def test_every_formula_member_passes_structure(theorem_reports):
