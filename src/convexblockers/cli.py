@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 import time
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .enumeration import enumerate_shp, enumerate_spm
 from .formula import iter_blocker_specs, parse_blocker_spec, realize
@@ -161,34 +161,22 @@ def _check_config(defaults: dict, leaves: list[argparse.ArgumentParser]) -> None
             raise _UsageError(f"config key {key!r} has a value its option does not accept: {value!r}")
 
 
+def _pairs(s: Iterable[Edge]) -> list[list[int]]:
+    return [[e.a, e.b] for e in sorted(s)]
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     ctx = Context(_need(args, "m"))
     family = _need(args, "family")
+    items = enumerate_spm(ctx) if family == "spm" else enumerate_shp(ctx)
+    if args.count_only:
+        _emit([str(sum(1 for _ in items))], args.out)
+        return EXIT_OK
     if family == "spm":
-        items = list(enumerate_spm(ctx))
-        if args.count_only:
-            _emit([str(len(items))], args.out)
-            return EXIT_OK
-        lines = [
-            _dumps({"m": ctx.m, "kind": "spm", "edges": [[e.a, e.b] for e in sorted(s)]}) for s in items
-        ]
+        rows = ({"kind": "spm", "edges": _pairs(s)} for s in items)
     else:
-        paths = list(enumerate_shp(ctx))
-        if args.count_only:
-            _emit([str(len(paths))], args.out)
-            return EXIT_OK
-        lines = [
-            _dumps(
-                {
-                    "m": ctx.m,
-                    "kind": "shp",
-                    "vertices": list(p.vertices),
-                    "edges": [[e.a, e.b] for e in sorted(p.edge_set())],
-                }
-            )
-            for p in paths
-        ]
-    _emit(lines, args.out)
+        rows = ({"kind": "shp", "vertices": list(p.vertices), "edges": _pairs(p.edge_set())} for p in items)
+    _emit([_dumps({"m": ctx.m, **row}) for row in rows], args.out)
     return EXIT_OK
 
 
@@ -203,7 +191,7 @@ def _cmd_blockers_formula(args: argparse.Namespace) -> int:
         s = realize(spec, ctx)
         first_spec.setdefault(s, spec)
     lines = [
-        _dumps({"m": ctx.m, "spec": first_spec[s].to_json_dict(), "edges": [[e.a, e.b] for e in sorted(s)]})
+        _dumps({"m": ctx.m, "spec": first_spec[s].to_json_dict(), "edges": _pairs(s)})
         for s in sorted(first_spec, key=lambda s: tuple(sorted(s)))
     ]
     _emit(lines, args.out)
@@ -214,10 +202,7 @@ def _cmd_blockers_exact(args: argparse.Namespace) -> int:
     ctx = Context(_need(args, "m"))
     family = _need(args, "family")
     config = SolverConfig(node_limit=args.node_limit)
-    if family == "spm":
-        sets = list(enumerate_spm(ctx))
-    else:
-        sets = [p.edge_set() for p in enumerate_shp(ctx)]
+    sets = enumerate_spm(ctx) if family == "spm" else (p.edge_set() for p in enumerate_shp(ctx))
     res = min_hitting_sets(edge_set_system(sets, ctx), config)
     _emit([_dumps(res.to_json_dict())], args.out)
     return EXIT_INCOMPLETE if res.status == "incomplete" else EXIT_OK

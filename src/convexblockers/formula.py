@@ -29,8 +29,8 @@ from .geometry import (
     Context,
     Edge,
     EdgeSet,
+    _any_crossing,
     _edge,
-    crosses,
     direction,
     is_boundary,
 )
@@ -182,9 +182,7 @@ def validate_structure(s: EdgeSet, ctx: Context) -> CaterpillarReport:
         frontier = nxt
     is_tree = len(seen) == len(vertices) and len(edges) == len(vertices) - 1
 
-    is_noncrossing = not any(
-        crosses(edges[i], edges[j], ctx) for i in range(len(edges)) for j in range(i + 1, len(edges))
-    )
+    is_noncrossing = not _any_crossing(edges, ctx)
 
     is_caterpillar = False
     boundary_spine: tuple[int, ...] | None = None
@@ -225,6 +223,20 @@ def validate_structure(s: EdgeSet, ctx: Context) -> CaterpillarReport:
     )
 
 
+def _boundary_run(s: EdgeSet, ctx: Context) -> tuple[int, int] | None:
+    """(v0, t) when the boundary edges of s form one run of t >= 2 edges from v0 on, else None.
+
+    The run is v0, v0 + 1, ..., v0 + t mod 2m; a boundary edge sits at the
+    position of its first vertex in that circular order.
+    """
+    n = ctx.n
+    positions = {e.a if e.b - e.a == 1 else e.b for e in s if is_boundary(e, ctx)}
+    if len(positions) < 2:
+        return None
+    starts = [x for x in positions if (x - 1) % n not in positions]
+    return (starts[0], len(positions)) if len(starts) == 1 else None
+
+
 def direction_sweep_check(s: EdgeSet, ctx: Context) -> bool:
     """Monotone-roots test: does the edge set look like a realized spec?
 
@@ -244,14 +256,10 @@ def direction_sweep_check(s: EdgeSet, ctx: Context) -> bool:
     if any(len(v) != 1 for v in dirs.values()):
         return False
 
-    positions = {e.a if e.b - e.a == 1 else e.b for e in s if is_boundary(e, ctx)}
-    t = len(positions)
-    if t < 2:
+    run = _boundary_run(s, ctx)
+    if run is None:
         return False
-    starts = [x for x in positions if (x - 1) % n not in positions]
-    if len(starts) != 1:
-        return False
-    v0 = starts[0]
+    v0, t = run
     closed = {(v0 + i) % n for i in range(t + 1)}
     interior = {(v0 + i) % n for i in range(1, t)}
 

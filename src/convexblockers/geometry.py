@@ -17,6 +17,7 @@ from __future__ import annotations
 import collections
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import combinations
 from typing import Iterable
 
 __all__ = [
@@ -182,6 +183,11 @@ def crosses(e1: Edge, e2: Edge, ctx: Context) -> bool:
     return in_arc_a != in_arc_b
 
 
+def _any_crossing(edges: Iterable[Edge], ctx: Context) -> bool:
+    """True iff some two of the given edges cross."""
+    return any(crosses(e, f, ctx) for e, f in combinations(edges, 2))
+
+
 def direction_class(k: int, ctx: Context) -> EdgeSet:
     """All edges of direction k, 0 <= k < 2m."""
     if not 0 <= k < ctx.n:
@@ -246,8 +252,7 @@ def is_noncrossing_path(p: SimplePath, ctx: Context) -> bool:
         return False
     if not all(0 <= v < ctx.n for v in vs):
         return False
-    es = p.edges()
-    return not any(crosses(es[i], es[j], ctx) for i in range(len(es)) for j in range(i + 1, len(es)))
+    return not _any_crossing(p.edges(), ctx)
 
 
 def is_simple_hamiltonian_path(p: SimplePath, ctx: Context) -> bool:
@@ -263,9 +268,7 @@ def is_simple_perfect_matching(s: EdgeSet, ctx: Context) -> bool:
     touched = [v for e in edges for v in e]
     if len(set(touched)) != ctx.n or not all(0 <= v < ctx.n for v in touched):
         return False
-    return not any(
-        crosses(edges[i], edges[j], ctx) for i in range(len(edges)) for j in range(i + 1, len(edges))
-    )
+    return not _any_crossing(edges, ctx)
 
 
 def format_edge(e: Edge) -> str:

@@ -3,12 +3,18 @@
 verify_theorems(m) re-derives everything from scratch and cross-compares:
 
   1. enumerate both families (simple perfect matchings, simple Hamiltonian
-     paths) with the fast enumerators;
-  2. hand both to the geometry-blind exact solver to get all minimum blockers;
+     paths) with the fast enumerators, streaming each straight into its
+     SetSystem over dense edge indices, the one form a family is held in;
+  2. hand both systems to the geometry-blind exact solver to get all minimum
+     blockers;
   3. generate the explicit caterpillar family;
-  4. compare the three blocker collections as canonical sets and shape-check
-     every solver blocker (caterpillar, boundary spine, direction sweep, one
-     edge per odd direction, consecutive boundary edges).
+  4. compare the three blocker collections as sorted edge-index tuples and
+     shape-check every solver blocker (caterpillar, boundary spine, direction
+     sweep, one edge per odd direction, consecutive boundary edges).
+
+Dense index order is canonical edge order, so sorted index tuples compare and
+sort exactly as the edge sets they stand for; blockers become Edge values
+only for the shape checks and the report.
 
 The resulting TheoremReport is deterministic byte for byte: no timing, no
 environment data, and a content hash over the canonical serialization so
@@ -20,11 +26,17 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .enumeration import enumerate_shp, enumerate_spm
-from .formula import direction_sweep_check, enumerate_formula_family, iter_blocker_specs, validate_structure
-from .geometry import Context, EdgeSet, direction, format_edge_set, is_boundary
+from .formula import (
+    _boundary_run,
+    direction_sweep_check,
+    enumerate_formula_family,
+    iter_blocker_specs,
+    validate_structure,
+)
+from .geometry import Context, Edge, EdgeSet, direction, format_edge_set
 from .hitting import SetSystem, SolverConfig, min_hitting_sets
 
 __all__ = [
@@ -39,10 +51,12 @@ __all__ = [
 def edge_set_system(family: Iterable[EdgeSet], ctx: Context) -> SetSystem:
     """The edge sets of a family as a SetSystem over the dense edge indices of ctx.
 
-    Each member becomes the tuple of its edge indices, which SetSystem sorts;
-    dense index order is canonical edge order, so the sorted tuple lists the
-    edges as sorted() does. Raises ValueError, as Context.edge_index does,
-    for an edge that is not an edge of the 2m-gon.
+    The family is consumed lazily, one member at a time, so a generator of
+    edge sets is never held as a list: each edge set can be freed as soon as
+    it has become the tuple of its edge indices, which SetSystem sorts. Dense
+    index order is canonical edge order, so the sorted tuple lists the edges
+    as sorted() does. Raises ValueError, as Context.edge_index does, for an
+    edge that is not an edge of the 2m-gon.
     """
     index_of = ctx._index_of.__getitem__
     try:
@@ -59,18 +73,9 @@ def check_one_per_odd_direction(blockers: Iterable[EdgeSet], ctx: Context) -> bo
     return all(sorted(direction(e, ctx) for e in b) == want for b in blockers)
 
 
-def _boundary_run_ok(s: EdgeSet, ctx: Context) -> bool:
-    n = ctx.n
-    positions = {e.a if e.b - e.a == 1 else e.b for e in s if is_boundary(e, ctx)}
-    if len(positions) < 2:
-        return False
-    starts = [x for x in positions if (x - 1) % n not in positions]
-    return len(starts) == 1
-
-
 def check_boundary_edges_consecutive(blockers: Iterable[EdgeSet], ctx: Context) -> bool:
     """True iff each blocker's boundary edges form one consecutive run, length >= 2."""
-    return all(_boundary_run_ok(b, ctx) for b in blockers)
+    return all(_boundary_run(b, ctx) is not None for b in blockers)
 
 
 @dataclass(frozen=True)
@@ -119,40 +124,32 @@ class TheoremReport:
         return self.status == "pass"
 
 
-def _canonical(family: Iterable[EdgeSet]) -> list[tuple]:
-    return sorted(tuple(sorted(s)) for s in family)
-
-
-def _first_unhit(s: EdgeSet, family: Iterable[EdgeSet]) -> str | None:
-    for member in sorted(family, key=lambda f: tuple(sorted(f))):
-        if not s & member:
-            return format_edge_set(member)
-    return None
+def _first_unhit(blocker: tuple[int, ...], family: Iterable[tuple[int, ...]]) -> tuple[int, ...] | None:
+    """The first member, in canonical order, that shares no edge index with blocker."""
+    hit = set(blocker)
+    return min((member for member in family if hit.isdisjoint(member)), default=None)
 
 
 def verify_theorems(m: int, config: SolverConfig | None = None) -> TheoremReport:
     """Derive, solve, compare and shape-check everything for one m."""
     ctx = Context(m)
-    spm_sets = list(enumerate_spm(ctx))
-    shp_paths = list(enumerate_shp(ctx))
-    shp_sets = [p.edge_set() for p in shp_paths]
-
-    res_spm = min_hitting_sets(edge_set_system(spm_sets, ctx), config)
-    res_shp = min_hitting_sets(edge_set_system(shp_sets, ctx), config)
-    blockers_spm = [frozenset(ctx.edge_at(i) for i in sol) for sol in res_spm.solutions]
-    blockers_shp = [frozenset(ctx.edge_at(i) for i in sol) for sol in res_shp.solutions]
+    spm = edge_set_system(enumerate_spm(ctx), ctx)
+    shp = edge_set_system((p.edge_set() for p in enumerate_shp(ctx)), ctx)
+    res_spm = min_hitting_sets(spm, config)
+    res_shp = min_hitting_sets(shp, config)
 
     formula_family = enumerate_formula_family(ctx)
     formula_specs = sum(1 for _ in iter_blocker_specs(ctx))
 
-    key_spm = _canonical(blockers_spm)
-    key_shp = _canonical(blockers_shp)
-    key_formula = _canonical(formula_family)
+    # Sorted edge-index tuples: the solver's solutions are already sorted.
+    key_spm = res_spm.solutions
+    key_shp = res_shp.solutions
+    key_formula = tuple(sorted(tuple(sorted(map(ctx.edge_index, s))) for s in formula_family))
     eq_families = key_shp == key_spm
     eq_formula = key_spm == key_formula
 
     # Shape-check every solver blocker (union of both, deduplicated).
-    distinct = sorted({frozenset(b) for b in blockers_spm + blockers_shp}, key=lambda s: tuple(sorted(s)))
+    distinct = [frozenset(map(ctx.edge_at, t)) for t in sorted(set(key_spm) | set(key_shp))]
     reports = [validate_structure(b, ctx) for b in distinct]
     all_caterpillar = all(r.is_tree and r.is_noncrossing and r.is_caterpillar for r in reports)
     all_spine = all(r.boundary_spine is not None for r in reports)
@@ -163,12 +160,12 @@ def verify_theorems(m: int, config: SolverConfig | None = None) -> TheoremReport
     min_ok = res_spm.min_size == m and res_shp.min_size == m
     # Every check in report order, each with a builder of its witness; only
     # the first failed check builds one.
-    families = ("shp_only", spm_sets), ("spm_only", shp_sets)
+    families = ("shp_only", spm.sets), ("spm_only", shp.sets)
     # A solver blocker hits every member, so only a formula member can miss one.
-    formula = ("formula_only", spm_sets), ("solver_only", ())
+    formula = ("formula_only", spm.sets), ("solver_only", ())
     checks = [
-        (eq_families, lambda: _diff_witness("blocker_families_differ", key_shp, key_spm, *families)),
-        (eq_formula, lambda: _diff_witness("formula_family_differs", key_formula, key_spm, *formula)),
+        (eq_families, lambda: _diff_witness("blocker_families_differ", key_shp, key_spm, *families, ctx)),
+        (eq_formula, lambda: _diff_witness("formula_family_differs", key_formula, key_spm, *formula, ctx)),
         (min_ok, lambda: _witness("min_size_mismatch")),
         (
             all_caterpillar and all_spine,
@@ -193,10 +190,10 @@ def verify_theorems(m: int, config: SolverConfig | None = None) -> TheoremReport
     report_dict = {
         "m": m,
         "counts": {
-            "spm": len(spm_sets),
-            "shp": len(shp_sets),
-            "blockers_spm": len(blockers_spm),
-            "blockers_shp": len(blockers_shp),
+            "spm": len(spm.sets),
+            "shp": len(shp.sets),
+            "blockers_spm": len(key_spm),
+            "blockers_shp": len(key_shp),
             "formula_family": len(formula_family),
             "formula_specs": formula_specs,
         },
@@ -226,7 +223,9 @@ def verify_theorems(m: int, config: SolverConfig | None = None) -> TheoremReport
     return TheoremReport(content_hash=digest, **report_dict)
 
 
-def _witness(kind: str, edges: EdgeSet | None = None, side: str | None = None, unhit: str | None = None) -> dict:
+def _witness(
+    kind: str, edges: Iterable[Edge] | None = None, side: str | None = None, unhit: str | None = None
+) -> dict:
     return {
         "kind": kind,
         "edges": None if edges is None else format_edge_set(edges),
@@ -235,13 +234,15 @@ def _witness(kind: str, edges: EdgeSet | None = None, side: str | None = None, u
     }
 
 
-def _diff_witness(kind: str, key_a: list, key_b: list, a: tuple, b: tuple) -> dict:
-    """The first blocker in exactly one of two canonical key lists.
+def _diff_witness(kind: str, key_a: Sequence, key_b: Sequence, a: tuple, b: tuple, ctx: Context) -> dict:
+    """The first blocker in exactly one of two sorted edge-index tuple lists.
 
     a and b are (side, family) for key_a and key_b: side names where the
-    blocker was found, family is the one whose first unhit member is shown.
+    blocker was found, family holds the index tuples whose first member the
+    blocker misses is shown. Only the report maps indices back to edges.
     """
     first = min(set(key_a) ^ set(key_b))
-    side, family = a if first in set(key_a) else b
-    s = frozenset(first)
-    return _witness(kind, s, side, _first_unhit(s, family))
+    side, family = a if first in key_a else b
+    unhit = _first_unhit(first, family)
+    text = None if unhit is None else format_edge_set(map(ctx.edge_at, unhit))
+    return _witness(kind, map(ctx.edge_at, first), side, text)

@@ -1,8 +1,10 @@
 """End-to-end theorem reports and their failure detection."""
 
 import dataclasses
+import gc
 import hashlib
 import json
+import weakref
 
 import pytest
 
@@ -225,6 +227,43 @@ def test_edge_set_system_rejects_edge_outside_polygon():
         edge_set_system([parse_edge_set("0-1,2-3"), frozenset({Edge(0, 1), bad})], ctx)
     assert str(got.value) == str(want.value)
     assert "1-4" in str(got.value)
+
+
+def test_families_held_once_during_solves(monkeypatch):
+    # verify_theorems streams H into its SetSystem: when either solve starts,
+    # no yielded path is alive and no path edge set (2m - 1 Edge values) is
+    # held anywhere beyond what the process held before the call.
+    m = 5
+    paths = weakref.WeakSet()
+    real_enumerate, real_solver = verification.enumerate_shp, verification.min_hitting_sets
+
+    def path_edge_sets():
+        return sum(
+            1
+            for o in gc.get_objects()
+            if type(o) is frozenset and len(o) == 2 * m - 1 and all(type(e) is Edge for e in o)
+        )
+
+    def enumerate_shp(ctx):
+        for p in real_enumerate(ctx):
+            paths.add(p)
+            yield p
+
+    alive_at_solve = []
+
+    def solver(system, config=None):
+        gc.collect()
+        alive_at_solve.append((len(paths), path_edge_sets() - before))
+        return real_solver(system, config)
+
+    monkeypatch.setattr(verification, "enumerate_shp", enumerate_shp)
+    monkeypatch.setattr(verification, "min_hitting_sets", solver)
+    gc.collect()
+    before = path_edge_sets()
+    rep = verify_theorems(m)
+    assert rep.status == "pass"
+    assert rep.counts["shp"] == SHP_COUNT[m]
+    assert alive_at_solve == [(0, 0), (0, 0)]
 
 
 # ----------------------------------------------------- counterexamples
