@@ -9,12 +9,21 @@ The search is one branch and bound, sound by packing duality alone. Before
 it starts, it packs pairwise-disjoint members greedily in order of
 increasing weight (the sum of the member's element frequencies).
 
+- Order. Members are deduplicated and ordered by (size, descending weight,
+  tuple), so the first unhit member is a smallest one whose elements hit
+  the most other members. Its elements are tried most frequent first, ties
+  by index. Both orders are read off the set system alone, so equal
+  systems are searched identically.
 - Branching. It branches on the elements e1..er of the first unhit member,
   and branch i bans e1..e(i-1) for its whole subtree. Every hitting set
   below a node meets that member, and lies below only the branch of its
   first element there, so the search reaches no set twice and loses no
-  optimum: there are no duplicates to remove. One pass keeps every hitting
-  set of size at most the best one seen; the best starts at a greedy cover.
+  optimum: there are no duplicates to remove. This holds for any choice of
+  unhit member and any order of its elements, and the bans and the lower
+  bound below do not depend on the order either: it changes how many nodes
+  a search visits, never the minimum or the solutions of a complete one.
+  One pass keeps every hitting set of size at most the best one seen; the
+  best starts at a greedy cover.
 - Lower bound. The packed members that a node leaves unhit are pairwise
   disjoint, so each needs its own element. An unhit member that meets none
   of them is disjoint from all of them and needs one element more; with no
@@ -33,7 +42,9 @@ as one node against SolverConfig.node_limit.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .geometry import EdgeSet
@@ -68,7 +79,8 @@ class SetSystem:
                 raise ValueError("member sets must be nonempty")
             if t[0] < 0 or t[-1] >= self.ground_size:
                 raise ValueError(f"set {t} has elements outside 0..{self.ground_size - 1}")
-            norm.append(t)
+            # Keep a caller's canonical tuple rather than an equal copy.
+            norm.append(s if type(s) is tuple and s == t else t)
         object.__setattr__(self, "sets", tuple(norm))
 
     def to_json_dict(self) -> dict:
@@ -121,35 +133,31 @@ class SolverResult:
         )
 
 
-def _coverage(members: Sequence[Sequence[int]]) -> dict[int, int]:
-    """Map each element to the bitmask of the member indices that contain it.
+def _coverage(members: Sequence[Sequence[int]], ground_size: int) -> list[int]:
+    """For each element 0..ground_size-1, the bitmask of the member indices
+    that contain it.
 
     Each mask is filled as a little-endian bytearray and converted once, so
     the build is linear in the total member size (OR-ing into a growing int
     per occurrence would copy the int every time).
     """
     size = (len(members) + 7) // 8
-    rows: dict[int, bytearray] = {}
+    rows = [bytearray(size) for _ in range(ground_size)]
     for i, s in enumerate(members):
         byte = i >> 3
         bit = 1 << (i & 7)
         for e in s:
-            row = rows.get(e)
-            if row is None:
-                row = rows[e] = bytearray(size)
-            row[byte] |= bit
-    return {e: int.from_bytes(row, "little") for e, row in rows.items()}
+            rows[e][byte] |= bit
+    return [int.from_bytes(row, "little") for row in rows]
 
 
-def _min_weight_packing(members: Sequence[Sequence[int]], cov: dict[int, int]) -> list[int]:
+def _min_weight_packing(members: Sequence[Sequence[int]], weights: Sequence[int]) -> list[int]:
     """Pairwise-disjoint member indices, taken greedily by (weight, index).
 
     A member's weight is the sum of its elements' frequencies: members made
     of rarely used elements block few others, so taking them first tends to
     pack more members than a scan in input order.
     """
-    freq = {e: c.bit_count() for e, c in cov.items()}
-    weights = [sum(map(freq.__getitem__, s)) for s in members]
     used: set[int] = set()
     packing = []
     # sorted() is stable, so equal weights keep index order.
@@ -164,26 +172,36 @@ def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> S
     """Exact minimum-size hitting sets of a set system, all of them.
 
     One branch and bound over the min-weight packing (see the module
-    docstring). It branches on the elements of the lowest-index unhit member
-    (members are pre-sorted by size so that branch factors stay small), and
-    each branch bans the elements its earlier siblings took, so every hitting
-    set is reached at most once. It prunes a node when the depth plus the
-    packing bound exceeds the best size seen, keeps every hitting set of that
-    size, and starts over when it finds a smaller one.
+    docstring). It branches on the first unhit member in (size, descending
+    weight, tuple) order and tries its elements most frequent first; each
+    branch bans the elements its earlier siblings took, so every hitting set
+    is reached at most once, whatever the order. It prunes a node when the
+    depth plus the packing bound exceeds the best size seen, keeps every
+    hitting set of that size, and starts over when it finds a smaller one.
+    Solutions are sorted tuples, in sorted order.
     """
     if config is None:
         config = SolverConfig()
     if not system.sets:
         raise ValueError("set system has no member sets")
 
-    # Deduplicate member sets and order them by size: identical members are
-    # redundant for hitting, and small members make good branch points.
-    unique = sorted(set(system.sets), key=lambda s: (len(s), s))
-    k = len(unique)
+    # Deduplicate the members (identical ones are redundant for hitting) and
+    # order them by (size, descending weight, tuple), a member's weight being
+    # the sum of its elements' frequencies: the first unhit member is then a
+    # smallest one whose elements hit the most other members. Both sorts are
+    # stable and keyed by list lookups, with no Python call per member.
+    unique = sorted(set(system.sets))
+    freq = Counter(chain.from_iterable(unique))
+    weight = [sum(map(freq.__getitem__, s)) for s in unique]
+    order = sorted(range(len(unique)), key=weight.__getitem__, reverse=True)
+    order.sort(key=list(map(len, unique)).__getitem__)
+    members = list(map(unique.__getitem__, order))
+    packing = _min_weight_packing(members, list(map(weight.__getitem__, order)))
+    del unique, weight, order  # member-long lists the search would otherwise keep alive
+    k = len(members)
     full = (1 << k) - 1
-    cov = _coverage(unique)
+    cov = _coverage(members, system.ground_size)
 
-    packing = _min_weight_packing(unique, cov)
     # slot[e]: the bit of the packing position whose member holds e, or 0
     # (packed members are disjoint). reach[j]: the members that meet the
     # member at packing position j.
@@ -191,10 +209,13 @@ def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> S
     reach = []
     for j, i in enumerate(packing):
         meets = 0
-        for e in unique[i]:
+        for e in members[i]:
             slot[e] = 1 << j
             meets |= cov[e]
         reach.append(meets)
+    # branches[i]: the elements of member i, most frequent first and ties by
+    # index, sorted the first time the search branches on member i.
+    branches: list[list[int] | None] = [None] * k
 
     def first_unhit(hit: int) -> int:
         x = full ^ hit
@@ -205,7 +226,7 @@ def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> S
     greedy_size = 0
     while hit != full:
         rest = full ^ hit
-        best_e = min(cov, key=lambda e: (-(cov[e] & rest).bit_count(), e))
+        best_e = max(range(system.ground_size), key=lambda e: (cov[e] & rest).bit_count())
         hit |= cov[best_e]
         greedy_size += 1
 
@@ -249,7 +270,12 @@ def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> S
                 x ^= low
             if covered != full:
                 return
-        for e in unique[first_unhit(hit)]:
+        i = first_unhit(hit)
+        branch = branches[i]
+        if branch is None:
+            # members[i] is in index order and the sort is stable.
+            branch = branches[i] = sorted(members[i], key=freq.__getitem__, reverse=True)
+        for e in branch:
             bit = 1 << e
             if ban & bit:
                 continue

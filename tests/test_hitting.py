@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from convexblockers import (
     min_hitting_sets,
     parse_edge_set,
 )
-from convexblockers.hitting import _coverage, _min_weight_packing
+from convexblockers.hitting import _min_weight_packing
 from oracles import naive_min_hitting_sets, random_set_system
 
 
@@ -37,6 +38,10 @@ def test_set_system_validation():
         SetSystem(ground_size=3, sets=((),))  # empty set is unhittable
     s = SetSystem(ground_size=3, sets=((2, 0, 2), (1,)))
     assert s.sets == ((0, 2), (1,))  # normalized: sorted, deduplicated
+    # a member that is already a sorted tuple of distinct elements is kept,
+    # not copied
+    member = tuple([0, 2])
+    assert SetSystem(ground_size=3, sets=(member, [1])).sets[0] is member
 
 
 def test_set_system_json_roundtrip():
@@ -154,11 +159,15 @@ GOLDEN_SOLUTIONS = {
     8: "9851acf34154fce1d2cf89e655ca33f3899b9a27939d647758dc27f99e5fc1c1",
 }
 
-# Node counts are deterministic. The ceilings sit about 1.5x above today's
-# counts (shp: 3078 at m=6, 10,871 at m=7, 37,273 at m=8). Without the extra
-# member in the lower bound, shp at m=7 takes 43,932 nodes; the two-phase
-# solver took 41,041 and branch and bound with no packing 15,451,828. So the
-# ceilings fail if either term of the bound silently stops pruning.
+# Node counts are deterministic. The ceilings were set about 1.5x above the
+# counts of the search that branched on the first unhit member in (size,
+# tuple) order and tried its elements by index (shp: 3078 at m=6, 10,871 at
+# m=7, 37,273 at m=8). Ordering members by descending weight and elements
+# most frequent first takes shp 3112, 10,750 and 35,612 nodes, spm 1072,
+# 3254 and 9111. Without the extra member in the lower bound, shp at m=7 took
+# 43,932 nodes; the two-phase solver took 41,041 and branch and bound with no
+# packing 15,451,828. So the ceilings fail if either term of the bound
+# silently stops pruning.
 NODE_CEILINGS = {
     "spm": {2: 11, 3: 45, 4: 160, 5: 560, 6: 1_700, 7: 4_900, 8: 14_000},
     "shp": {2: 17, 3: 75, 4: 330, 5: 1_250, 6: 4_600, 7: 16_000, 8: 56_000},
@@ -186,9 +195,14 @@ def test_golden_solutions(m, family):
 
 
 def _packing(sets):
-    """The solver's min-weight packing, on the members as the solver orders them."""
-    members = sorted({tuple(sorted(set(s))) for s in sets}, key=lambda s: (len(s), s))
-    return _min_weight_packing(members, _coverage(members))
+    """The solver's min-weight packing, on the members as the solver orders them:
+    by (size, descending weight, tuple), a weight being the sum of the
+    member's element frequencies."""
+    unique = {tuple(sorted(set(s))) for s in sets}
+    freq = Counter(e for s in unique for e in s)
+    weight = {s: sum(freq[e] for e in s) for s in unique}
+    members = sorted(unique, key=lambda s: (len(s), -weight[s], s))
+    return _min_weight_packing(members, [weight[s] for s in members])
 
 
 @st.composite
@@ -291,16 +305,17 @@ def _random_system(seed):
 
 # SHA-256 of [min_size, solutions] as compact JSON, computed with the
 # two-pass solver that deduplicated its solutions in a set. The node ceilings
-# were set about 1.5x above the one-pass counts with a lower bound over four
-# packings (2772, 1810, 729, 5509); the bound over the min-weight packing
-# with its extra member takes 2479, 1435, 596 and 4405 nodes. The two-pass
-# solver needed 10726, 9635, 2351 and 30304, so the ceilings fail if the ban
-# on earlier siblings' elements silently stops pruning.
+# sit about 1.5x above the counts of the search that branches on the first
+# unhit member in (size, descending weight, tuple) order and tries its
+# elements most frequent first: 796, 1094, 527 and 1776 nodes. In (size,
+# tuple) member order with elements by index it took 2479, 1435, 596 and
+# 4405, so the ceilings of seeds 0 and 3 fail if the search order silently
+# reverts. The two-pass solver needed 10726, 9635, 2351 and 30304.
 FALLBACK_GOLDEN = {
-    0: ("efe213168a0a827201b384fb3560a9753ced01f7318ea4a5457824dbd2e73071", 4_200),
-    1: ("baf698c6219cd2ce8490a0a6ba57537712d4918dff85ef6cbb879bda7bec233b", 2_700),
-    2: ("a3a07a8cdb5e9f8ecf830a59d184ed8ba68ffefe9c676a4ddcba2e8cf269e12d", 1_100),
-    3: ("cdcc2244c68bb82d1b6bf684ff782aafa86eec1fc6823f6322b46ca22e32cae1", 8_300),
+    0: ("efe213168a0a827201b384fb3560a9753ced01f7318ea4a5457824dbd2e73071", 1_200),
+    1: ("baf698c6219cd2ce8490a0a6ba57537712d4918dff85ef6cbb879bda7bec233b", 1_650),
+    2: ("a3a07a8cdb5e9f8ecf830a59d184ed8ba68ffefe9c676a4ddcba2e8cf269e12d", 800),
+    3: ("cdcc2244c68bb82d1b6bf684ff782aafa86eec1fc6823f6322b46ca22e32cae1", 2_700),
 }
 
 
@@ -331,3 +346,29 @@ def test_node_limit_in_branch_and_bound(case, data):
     for sol in res.solutions:
         assert len(sol) == res.min_size
         assert all(set(sol) & set(s) for s in sets)
+
+
+@st.composite
+def scrambled_systems(draw):
+    """A random set system, as sorted distinct members, and the same system
+    given again with repeated members, repeated elements inside members, and
+    both the members and their elements shuffled."""
+    rng = draw(st.randoms(use_true_random=False))
+    ground, sets = random_set_system(rng, ground_max=12, sets_max=24)
+    canonical = sorted(set(sets))
+    scrambled = []
+    for s in canonical + rng.sample(canonical, rng.randint(0, len(canonical))):
+        s = list(s) + rng.sample(s, rng.randint(0, len(s)))
+        rng.shuffle(s)
+        scrambled.append(s)
+    rng.shuffle(scrambled)
+    return ground, canonical, scrambled
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scrambled_systems())
+def test_search_order_depends_only_on_the_set_system(case):
+    # the member and element orders are read off the set system, so the
+    # whole result, node count included, ignores how the members were given
+    ground, canonical, scrambled = case
+    assert _solve(ground, scrambled) == _solve(ground, canonical)
