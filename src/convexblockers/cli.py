@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 domain error, 3 verification failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -45,13 +46,17 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _emit(lines: list[str], out_path: str | None) -> None:
-    text = "".join(line + "\n" for line in lines)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _open_out(out_path: str | None):
+    """The --out file opened for writing, or stdout when there is none.
+
+    The long-running commands open it before their first enumeration or
+    solve, so a path that cannot be written fails at once, not at the end.
+    """
+    return open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout)
+
+
+def _emit(lines: Iterable[str], out) -> None:
+    out.write("".join(line + "\n" for line in lines))
 
 
 def _need(args: argparse.Namespace, name: str):
@@ -168,15 +173,16 @@ def _pairs(s: Iterable[Edge]) -> list[list[int]]:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     ctx = Context(_need(args, "m"))
     family = _need(args, "family")
-    items = enumerate_spm(ctx) if family == "spm" else enumerate_shp(ctx)
-    if args.count_only:
-        _emit([str(sum(1 for _ in items))], args.out)
-        return EXIT_OK
-    if family == "spm":
-        rows = ({"kind": "spm", "edges": _pairs(s)} for s in items)
-    else:
-        rows = ({"kind": "shp", "vertices": list(p.vertices), "edges": _pairs(p.edge_set())} for p in items)
-    _emit([_dumps({"m": ctx.m, **row}) for row in rows], args.out)
+    with _open_out(args.out) as out:
+        items = enumerate_spm(ctx) if family == "spm" else enumerate_shp(ctx)
+        if args.count_only:
+            _emit([str(sum(1 for _ in items))], out)
+            return EXIT_OK
+        if family == "spm":
+            rows = ({"kind": "spm", "edges": _pairs(s)} for s in items)
+        else:
+            rows = ({"kind": "shp", "vertices": list(p.vertices), "edges": _pairs(p.edge_set())} for p in items)
+        _emit([_dumps({"m": ctx.m, **row}) for row in rows], out)
     return EXIT_OK
 
 
@@ -184,7 +190,9 @@ def _cmd_blockers_formula(args: argparse.Namespace) -> int:
     ctx = Context(_need(args, "m"))
     if args.spec:
         spec = parse_blocker_spec(args.spec)
-        _emit([format_edge_set(realize(spec, ctx))], args.out)
+        line = format_edge_set(realize(spec, ctx))
+        with _open_out(args.out) as out:
+            _emit([line], out)
         return EXIT_OK
     first_spec: dict[frozenset, object] = {}
     for spec in iter_blocker_specs(ctx):
@@ -194,7 +202,8 @@ def _cmd_blockers_formula(args: argparse.Namespace) -> int:
         _dumps({"m": ctx.m, "spec": first_spec[s].to_json_dict(), "edges": _pairs(s)})
         for s in sorted(first_spec, key=lambda s: tuple(sorted(s)))
     ]
-    _emit(lines, args.out)
+    with _open_out(args.out) as out:
+        _emit(lines, out)
     return EXIT_OK
 
 
@@ -202,9 +211,10 @@ def _cmd_blockers_exact(args: argparse.Namespace) -> int:
     ctx = Context(_need(args, "m"))
     family = _need(args, "family")
     config = SolverConfig(node_limit=args.node_limit)
-    sets = enumerate_spm(ctx) if family == "spm" else (p.edge_set() for p in enumerate_shp(ctx))
-    res = min_hitting_sets(edge_set_system(sets, ctx), config)
-    _emit([_dumps(res.to_json_dict())], args.out)
+    with _open_out(args.out) as out:
+        sets = enumerate_spm(ctx) if family == "spm" else (p.edge_set() for p in enumerate_shp(ctx))
+        res = min_hitting_sets(edge_set_system(sets, ctx), config)
+        _emit([_dumps(res.to_json_dict())], out)
     return EXIT_INCOMPLETE if res.status == "incomplete" else EXIT_OK
 
 
@@ -217,15 +227,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     lines = []
     any_fail = False
     any_incomplete = False
-    for m in range(m_from, m_to + 1):
-        started = time.perf_counter()
-        report = verify_theorems(m, config)
-        elapsed = time.perf_counter() - started
-        print(f"m={m}: status={report.status} ({elapsed:.2f}s)", file=sys.stderr)
-        lines.append(report.canonical_json())
-        any_fail = any_fail or report.status == "fail"
-        any_incomplete = any_incomplete or report.status == "inconclusive"
-    _emit(lines, args.out)
+    with _open_out(args.out) as out:
+        for m in range(m_from, m_to + 1):
+            started = time.perf_counter()
+            report = verify_theorems(m, config)
+            elapsed = time.perf_counter() - started
+            print(f"m={m}: status={report.status} ({elapsed:.2f}s)", file=sys.stderr)
+            lines.append(report.canonical_json())
+            any_fail = any_fail or report.status == "fail"
+            any_incomplete = any_incomplete or report.status == "inconclusive"
+        _emit(lines, out)
     if any_fail:
         return EXIT_VERIFY_FAIL
     if any_incomplete:
@@ -275,7 +286,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     }
     ok = checks["is_shp"] and len(checks["avoids"]) == len(avoids) and len(checks["contains"]) == len(contains)
     payload = {"kind": args.kind, "params": params_dict, "vertices": list(path.vertices), "checks": checks}
-    _emit([_dumps(payload)], args.out)
+    with _open_out(args.out) as out:
+        _emit([_dumps(payload)], out)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
@@ -304,11 +316,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
         m=ctx.m, layers=tuple(layers), show_labels=args.labels, highlight_angles=args.angles
     )
     svg = render_svg(spec)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(svg)
-    else:
-        sys.stdout.write(svg)
+    with _open_out(args.out) as out:
+        out.write(svg)
     return EXIT_OK
 
 

@@ -32,28 +32,35 @@ increasing weight (the sum of the member's element frequencies).
   the packing size p, every surviving path takes its elements from
   distinct packed members, so the search scans only the transversals of
   the packing and drops each one as soon as a member becomes unreachable.
+- Settling. A node settles each of its children itself: it ORs the
+  child's element into its hit mask, records a solution when every member
+  is hit, applies the lower bound, and recurses only into the children that
+  pass. At the last level, where a child's depth equals the best size, a
+  child that is not a hitting set needs one element more and is pruned, so
+  there the node asks only whether the element hits every member still
+  unhit, and computes no bound.
 
 Search state lives in Python big-int bitmasks over member indices and
 packing positions, which keeps the per-node cost at a handful of word
-operations even for thousands of members. Every call of the search counts
-as one node against SolverConfig.node_limit.
+operations even for thousands of members. The root counts as one node
+against SolverConfig.node_limit, and so does every child a node generates,
+whether the search enters it or its parent settles it. The count, and the
+partial result of a search stopped by the limit, are therefore those of a
+search that enters every child and checks it there.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
-
-from .geometry import EdgeSet
+from operator import lt
+from typing import Sequence
 
 __all__ = [
     "SetSystem",
     "SolverConfig",
     "SolverResult",
-    "is_blocking_set",
     "min_hitting_sets",
 ]
 
@@ -74,13 +81,16 @@ class SetSystem:
             raise ValueError("ground_size must be nonnegative")
         norm = []
         for s in self.sets:
-            t = tuple(sorted(set(s)))
-            if not t:
-                raise ValueError("member sets must be nonempty")
-            if t[0] < 0 or t[-1] >= self.ground_size:
-                raise ValueError(f"set {t} has elements outside 0..{self.ground_size - 1}")
-            # Keep a caller's canonical tuple rather than an equal copy.
-            norm.append(s if type(s) is tuple and s == t else t)
+            # A caller's canonical member (a nonempty tuple of strictly
+            # increasing elements) is kept as it is; only the others are
+            # sorted and deduplicated into one.
+            if not (type(s) is tuple and s and all(map(lt, s, s[1:]))):
+                s = tuple(sorted(set(s)))
+                if not s:
+                    raise ValueError("member sets must be nonempty")
+            if s[0] < 0 or s[-1] >= self.ground_size:
+                raise ValueError(f"set {s} has elements outside 0..{self.ground_size - 1}")
+            norm.append(s)
         object.__setattr__(self, "sets", tuple(norm))
 
     def to_json_dict(self) -> dict:
@@ -202,24 +212,22 @@ def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> S
     full = (1 << k) - 1
     cov = _coverage(members, system.ground_size)
 
-    # slot[e]: the bit of the packing position whose member holds e, or 0
-    # (packed members are disjoint). reach[j]: the members that meet the
-    # member at packing position j.
-    slot = [0] * system.ground_size
+    # keep[e]: every packing position but the one whose member holds e
+    # (packed members are disjoint), so unhit_slots & keep[e] is what stays
+    # unhit once e is taken. reach[j]: the members that meet the member at
+    # packing position j. bits[e]: the bit of e in a ban mask.
+    keep = [-1] * system.ground_size
     reach = []
     for j, i in enumerate(packing):
         meets = 0
         for e in members[i]:
-            slot[e] = 1 << j
+            keep[e] = ~(1 << j)
             meets |= cov[e]
         reach.append(meets)
+    bits = [1 << e for e in range(system.ground_size)]
     # branches[i]: the elements of member i, most frequent first and ties by
     # index, sorted the first time the search branches on member i.
     branches: list[list[int] | None] = [None] * k
-
-    def first_unhit(hit: int) -> int:
-        x = full ^ hit
-        return (x & -x).bit_length() - 1
 
     # Greedy upper bound: repeatedly take the element covering most unhit members.
     hit = 0
@@ -231,60 +239,86 @@ def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> S
         greedy_size += 1
 
     best = greedy_size
-    nodes = 0
+    # The root is the first node. It holds no solution (there are members),
+    # and its bound never prunes: best >= p, and every member meets a member
+    # of the greedy packing, which is maximal.
+    nodes = 1
     limit = config.node_limit
     status = "complete"
     solutions: list[tuple[int, ...]] = []
     chosen: list[int] = []
 
     def search(hit: int, depth: int, ban: int, unhit_slots: int) -> None:
-        # Collects every hitting set of size <= best; ban holds the elements
-        # that earlier siblings on the path already tried, unhit_slots the
-        # packing positions whose member is still unhit.
+        # A node that its parent has counted and kept: hit != full and
+        # depth + bound <= best. It settles each child itself, collecting
+        # every hitting set of size <= best; ban holds the elements that
+        # earlier siblings on the path already tried, unhit_slots the packing
+        # positions whose member is still unhit.
         nonlocal best, nodes
-        nodes += 1
-        if nodes > limit:
-            raise NodeLimitExceeded
-        if hit == full:
-            # depth <= best: the parent passed depth - 1 + bound <= best with
-            # bound >= 1, and best has since dropped only to the sizes of the
-            # parent's descendants, all >= depth.
-            if depth < best:
-                best = depth
-                solutions.clear()
-            solutions.append(tuple(sorted(chosen)))
-            return
-        # Lower bound: each unhit packed member needs its own element, and
-        # an unhit member that meets none of them (any unhit member, when no
-        # packed member is unhit) needs one more. The extra member is looked
-        # for only when it decides the prune.
-        need = depth + unhit_slots.bit_count()
-        if need > best:
-            return
-        if need == best:
-            covered = hit
-            x = unhit_slots
-            while x:
-                low = x & -x
-                covered |= reach[low.bit_length() - 1]
-                x ^= low
-            if covered != full:
-                return
-        i = first_unhit(hit)
+        unhit = full ^ hit
+        i = (unhit & -unhit).bit_length() - 1
         branch = branches[i]
         if branch is None:
             # members[i] is in index order and the sort is stable.
             branch = branches[i] = sorted(members[i], key=freq.__getitem__, reverse=True)
-        for e in branch:
-            bit = 1 << e
-            if ban & bit:
+        # The children are at depth + 1 <= best: the parent kept this node
+        # with depth + bound <= best and bound >= 1, and best has dropped
+        # since only to the sizes of solutions below it.
+        depth += 1
+        children = iter(branch)
+        if depth < best:
+            for e in children:
+                bit = bits[e]
+                if ban & bit:
+                    continue
+                # Banning e already in its own subtree changes nothing there:
+                # every member that holds e is hit.
+                ban |= bit
+                nodes += 1
+                if nodes > limit:
+                    raise NodeLimitExceeded
+                child = hit | cov[e]
+                if child == full:
+                    # A new best; the children left are at the last level.
+                    best = depth
+                    solutions.clear()
+                    solutions.append(tuple(sorted([*chosen, e])))
+                    break
+                # Lower bound: each unhit packed member needs its own element,
+                # and an unhit member that meets none of them needs one more.
+                # That member is looked for only when it decides the prune.
+                slots = unhit_slots & keep[e]
+                need = depth + slots.bit_count()
+                if need > best:
+                    continue
+                if need == best:
+                    covered = child
+                    x = slots
+                    while x:
+                        low = x & -x
+                        covered |= reach[low.bit_length() - 1]
+                        x ^= low
+                    if covered != full:
+                        continue
+                chosen.append(e)
+                search(child, depth, ban, slots)
+                chosen.pop()
+        # Any children left are at the last level, depth == best. There a
+        # child that is not a hitting set has a bound of at least 1 and is
+        # pruned, so it counts as a node and is kept only as a solution, when
+        # its element alone hits every unhit member.
+        for e in children:
+            if ban & bits[e]:
                 continue
-            chosen.append(e)
-            search(hit | cov[e], depth + 1, ban, unhit_slots & ~slot[e])
-            chosen.pop()
-            ban |= bit
+            nodes += 1
+            if nodes > limit:
+                raise NodeLimitExceeded
+            if cov[e] & unhit == unhit:
+                solutions.append(tuple(sorted([*chosen, e])))
 
     try:
+        if nodes > limit:
+            raise NodeLimitExceeded
         search(0, 0, 0, (1 << len(packing)) - 1)
     except NodeLimitExceeded:
         # best is still a valid upper bound (greedy completed); solutions
@@ -299,11 +333,3 @@ def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> S
         nodes=nodes,
     )
 
-
-def is_blocking_set(candidate: EdgeSet, family: Iterable[EdgeSet]) -> bool:
-    """True iff the candidate intersects every member of the family."""
-    fam = list(family)
-    if not fam:
-        warnings.warn("is_blocking_set called with an empty family; vacuously true", stacklevel=2)
-        return True
-    return all(candidate & member for member in fam)

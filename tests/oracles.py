@@ -5,7 +5,9 @@ index arithmetic, exhaustive enumeration instead of recursion schemes,
 subset scans instead of branch and bound. Slow but hard to get wrong,
 and sharing no code path with the package under test. The one import from
 the package is CaterpillarReport, a plain record, so that shape reports
-compare directly.
+compare directly. The exception is reference_min_hitting_sets: a frozen
+copy of an earlier form of the package's solver, kept to pin that a
+faster form visits the same nodes and returns the same result.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 
 from convexblockers import CaterpillarReport
 
@@ -229,3 +232,106 @@ def random_set_system(rng: random.Random, ground_max: int = 14, sets_max: int = 
         size = rng.randint(1, max(1, ground // 2))
         sets.append(tuple(sorted(rng.sample(range(ground), size))))
     return ground, sets
+
+
+def reference_min_hitting_sets(
+    ground_size: int, sets: list[tuple[int, ...]], node_limit: int = 1_000_000_000
+) -> tuple[int, tuple[tuple[int, ...], ...], str, int]:
+    """The package's branch and bound in its one-call-per-node form.
+
+    Returns (min_size, solutions, status, nodes), the fields of SolverResult
+    in order. Members must be sorted tuples of distinct elements. The search
+    is the same as min_hitting_sets (member and element order, min-weight
+    packing, packing bound with the extra member) written as one recursive
+    call per node, each call counted as one node, so its node counts,
+    solutions and partial results under node_limit are the ones a faster
+    form of the same search must reproduce.
+    """
+
+    class _Limit(Exception):
+        pass
+
+    unique = sorted(set(sets))
+    freq = Counter(itertools.chain.from_iterable(unique))
+    weight = [sum(map(freq.__getitem__, s)) for s in unique]
+    order = sorted(range(len(unique)), key=weight.__getitem__, reverse=True)
+    order.sort(key=list(map(len, unique)).__getitem__)
+    members = list(map(unique.__getitem__, order))
+    weights = list(map(weight.__getitem__, order))
+    used: set[int] = set()
+    packing = []
+    for i in sorted(range(len(members)), key=weights.__getitem__):
+        if used.isdisjoint(members[i]):
+            used.update(members[i])
+            packing.append(i)
+    k = len(members)
+    full = (1 << k) - 1
+    cov = [0] * ground_size
+    for i, s in enumerate(members):
+        for e in s:
+            cov[e] |= 1 << i
+    slot = [0] * ground_size
+    reach = []
+    for j, i in enumerate(packing):
+        meets = 0
+        for e in members[i]:
+            slot[e] = 1 << j
+            meets |= cov[e]
+        reach.append(meets)
+    branches: list[list[int] | None] = [None] * k
+
+    hit = 0
+    best = 0
+    while hit != full:
+        rest = full ^ hit
+        best_e = max(range(ground_size), key=lambda e: (cov[e] & rest).bit_count())
+        hit |= cov[best_e]
+        best += 1
+
+    nodes = 0
+    status = "complete"
+    solutions: list[tuple[int, ...]] = []
+    chosen: list[int] = []
+
+    def search(hit: int, depth: int, ban: int, unhit_slots: int) -> None:
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > node_limit:
+            raise _Limit
+        if hit == full:
+            if depth < best:
+                best = depth
+                solutions.clear()
+            solutions.append(tuple(sorted(chosen)))
+            return
+        need = depth + unhit_slots.bit_count()
+        if need > best:
+            return
+        if need == best:
+            covered = hit
+            x = unhit_slots
+            while x:
+                low = x & -x
+                covered |= reach[low.bit_length() - 1]
+                x ^= low
+            if covered != full:
+                return
+        x = full ^ hit
+        i = (x & -x).bit_length() - 1
+        branch = branches[i]
+        if branch is None:
+            branch = branches[i] = sorted(members[i], key=freq.__getitem__, reverse=True)
+        for e in branch:
+            bit = 1 << e
+            if ban & bit:
+                continue
+            chosen.append(e)
+            search(hit | cov[e], depth + 1, ban, unhit_slots & ~slot[e])
+            chosen.pop()
+            ban |= bit
+
+    try:
+        search(0, 0, 0, (1 << len(packing)) - 1)
+    except _Limit:
+        status = "incomplete"
+    return best, tuple(sorted(solutions)), status, nodes

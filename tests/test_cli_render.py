@@ -13,6 +13,7 @@ from convexblockers import (
     parse_edge_set,
     render_svg,
 )
+from convexblockers import cli
 from convexblockers.cli import main
 
 
@@ -88,6 +89,28 @@ def test_enumerate_out_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert len(target.read_text().strip().split("\n")) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--m", "2", "--to", "9"),
+        ("blockers", "exact", "--m", "9", "--family", "shp"),
+        ("enumerate", "--m", "9", "--family", "spm"),
+    ],
+)
+def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    # the --out file is opened before the first enumeration or solve, so a
+    # path in a missing directory is a domain error at once, with no progress
+    def work(*args, **kwargs):
+        raise AssertionError("work started before --out was opened")
+
+    for name in ("enumerate_spm", "enumerate_shp", "verify_theorems"):
+        monkeypatch.setattr(cli, name, work)
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "x.jsonl"))
+    assert code == 2 and out == ""
+    assert "No such file or directory" in err
+    assert "m=" not in err
 
 
 # ---------------------------------------------------------------- blockers

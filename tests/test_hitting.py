@@ -22,7 +22,7 @@ from convexblockers import (
     parse_edge_set,
 )
 from convexblockers.hitting import _min_weight_packing
-from oracles import naive_min_hitting_sets, random_set_system
+from oracles import naive_min_hitting_sets, random_set_system, reference_min_hitting_sets
 
 
 def _solve(ground, sets, **cfg):
@@ -32,16 +32,40 @@ def _solve(ground, sets, **cfg):
 
 
 def test_set_system_validation():
-    with pytest.raises(ValueError):
-        SetSystem(ground_size=3, sets=((0, 3),))  # element out of range
-    with pytest.raises(ValueError):
-        SetSystem(ground_size=3, sets=((),))  # empty set is unhittable
     s = SetSystem(ground_size=3, sets=((2, 0, 2), (1,)))
     assert s.sets == ((0, 2), (1,))  # normalized: sorted, deduplicated
     # a member that is already a sorted tuple of distinct elements is kept,
     # not copied
     member = tuple([0, 2])
     assert SetSystem(ground_size=3, sets=(member, [1])).sets[0] is member
+
+
+@pytest.mark.parametrize(
+    "given, stored",
+    [
+        ((2, 0, 1), (0, 1, 2)),  # unsorted
+        ((1, 1, 0), (0, 1)),  # a repeated element
+        ((1, True), (1,)),  # True == 1, so a repeated element too
+        ([0, 2], (0, 2)),  # not a tuple
+        ((0, 2), (0, 2)),  # canonical
+    ],
+)
+def test_set_system_normalizes_members(given, stored):
+    member = SetSystem(ground_size=3, sets=(given,)).sets[0]
+    assert type(member) is tuple
+    assert [(type(e), e) for e in member] == [(type(e), e) for e in stored]
+
+
+@pytest.mark.parametrize("member", [(0, 3), (3,), (-1, 0), (2, 0, 3), (0, 0, 3), [3, 0]])
+def test_set_system_rejects_elements_out_of_range(member):
+    with pytest.raises(ValueError, match=r"has elements outside 0\.\.2"):
+        SetSystem(ground_size=3, sets=((0,), member))
+
+
+@pytest.mark.parametrize("member", [(), [], set(), ""])
+def test_set_system_rejects_empty_members(member):
+    with pytest.raises(ValueError, match="member sets must be nonempty"):
+        SetSystem(ground_size=3, sets=((0,), member))
 
 
 def test_set_system_json_roundtrip():
@@ -372,3 +396,47 @@ def test_search_order_depends_only_on_the_set_system(case):
     # whole result, node count included, ignores how the members were given
     ground, canonical, scrambled = case
     assert _solve(ground, scrambled) == _solve(ground, canonical)
+
+
+@st.composite
+def solver_systems(draw):
+    """A random set system, a planted one (minimum equal to the packing) or
+    one with an odd cycle (minimum above every packing), as (ground, sets)."""
+    kind = draw(st.sampled_from(["random", "planted", "fallback"]))
+    if kind == "random":
+        return random_set_system(draw(st.randoms(use_true_random=False)), ground_max=16, sets_max=48)
+    ground, sets, _ = draw(planted_systems() if kind == "planted" else fallback_systems())
+    return ground, sets
+
+
+def _assert_matches_reference(system, limit):
+    # The search settles each child in its parent; the reference enters
+    # every child. Both count one node per child, so the whole result,
+    # nodes and the partial solutions under a node limit included, agrees.
+    config = SolverConfig(node_limit=limit)
+    want = SolverResult(*reference_min_hitting_sets(system.ground_size, system.sets, limit))
+    assert min_hitting_sets(system, config) == want
+    return want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(solver_systems(), st.data())
+def test_search_matches_the_one_call_per_node_reference(case, data):
+    ground, sets = case
+    system = SetSystem(ground, tuple(tuple(s) for s in sets))
+    total = _assert_matches_reference(system, SolverConfig().node_limit).nodes
+    limit = data.draw(st.integers(0, total))
+    res = _assert_matches_reference(system, limit)
+    if limit < total:
+        assert (res.status, res.nodes) == ("incomplete", limit + 1)
+    else:
+        assert (res.status, res.nodes) == ("complete", total)
+
+
+@pytest.mark.parametrize("seed", range(4, 8))
+def test_full_size_random_systems_match_the_reference(seed):
+    # the solve-random benchmark's shape: ground 22, 64 members of size 3..5
+    system = _random_system(seed)
+    total = _assert_matches_reference(system, SolverConfig().node_limit).nodes
+    for limit in random.Random(seed).sample(range(total), 3):
+        assert _assert_matches_reference(system, limit).nodes == limit + 1
