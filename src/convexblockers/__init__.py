@@ -52,7 +52,7 @@ from .hitting import (
     SolverResult,
     min_hitting_sets,
 )
-from .render import Layer, RenderSpec, render_svg
+from .render import Layer, render_svg
 from .verification import (
     TheoremReport,
     check_boundary_edges_consecutive,
@@ -61,8 +61,6 @@ from .verification import (
     verify_theorems,
 )
 from .witnesses import (
-    P1Params,
-    Prop1Params,
     build_p0,
     build_p1,
     build_prop1_path,
@@ -79,9 +77,6 @@ __all__ = [
     "Edge",
     "EdgeSet",
     "Layer",
-    "P1Params",
-    "Prop1Params",
-    "RenderSpec",
     "SetSystem",
     "SimplePath",
     "SolverConfig",

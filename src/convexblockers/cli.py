@@ -22,9 +22,9 @@ from .enumeration import enumerate_shp, enumerate_spm
 from .formula import iter_blocker_specs, parse_blocker_spec, realize
 from .geometry import Context, Edge, SimplePath, format_edge_set, is_simple_hamiltonian_path, parse_edge_set
 from .hitting import SolverConfig, min_hitting_sets
-from .render import Layer, RenderSpec, render_svg
+from .render import Layer, render_svg
 from .verification import edge_set_system, verify_theorems
-from .witnesses import P1Params, Prop1Params, build_p0, build_p1, build_prop1_path, prop1_special_edges
+from .witnesses import build_p0, build_p1, build_prop1_path, prop1_special_edges
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -78,8 +78,13 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     leaves = []
 
-    p = sub.add_parser("enumerate", help="list simple perfect matchings or Hamiltonian paths")
-    leaves.append(p)
+    def leaf(subparsers, name: str, handler, help: str) -> _Parser:
+        p = subparsers.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        leaves.append(p)
+        return p
+
+    p = leaf(sub, "enumerate", _cmd_enumerate, "list simple perfect matchings or Hamiltonian paths")
     p.add_argument("--m", type=int)
     p.add_argument("--family", choices=["spm", "shp"])
     p.add_argument("--count-only", action="store_true")
@@ -88,29 +93,25 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     blockers = sub.add_parser("blockers", help="blocker families")
     bsub = blockers.add_subparsers(dest="blockers_command", required=True)
 
-    p = bsub.add_parser("formula", help="the explicit caterpillar family")
-    leaves.append(p)
+    p = leaf(bsub, "formula", _cmd_blockers_formula, "the explicit caterpillar family")
     p.add_argument("--m", type=int)
     p.add_argument("--spec", help="single member as 'r:t:e1,e2,...'")
     p.add_argument("--out")
 
-    p = bsub.add_parser("exact", help="all minimum blockers by exact search")
-    leaves.append(p)
+    p = leaf(bsub, "exact", _cmd_blockers_exact, "all minimum blockers by exact search")
     p.add_argument("--m", type=int)
     p.add_argument("--family", choices=["spm", "shp"])
     p.add_argument("--node-limit", type=int, default=SolverConfig().node_limit)
     p.add_argument("--out")
 
-    p = sub.add_parser("verify", help="full certification for a range of m")
-    leaves.append(p)
+    p = leaf(sub, "verify", _cmd_verify, "full certification for a range of m")
     p.add_argument("--m", type=int)
     p.add_argument("--to", type=int)
     p.add_argument("--node-limit", type=int, default=SolverConfig().node_limit)
     p.add_argument("--out")
 
-    p = sub.add_parser("witness", help="explicit avoidance paths")
-    leaves.append(p)
-    p.add_argument("kind", choices=["prop1", "p0", "p1"])
+    p = leaf(sub, "witness", _cmd_witness, "explicit avoidance paths")
+    p.add_argument("kind", choices=list(_WITNESSES))
     p.add_argument("--m", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--i", type=int)
@@ -123,8 +124,7 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     p.add_argument("--beta-prime", type=int, dest="beta_prime")
     p.add_argument("--out")
 
-    p = sub.add_parser("render", help="draw layers to SVG")
-    leaves.append(p)
+    p = leaf(sub, "render", _cmd_render, "draw layers to SVG")
     p.add_argument("--m", type=int)
     p.add_argument("--layer", action="append", help="edge set layer 'a-b,c-d[:style]'", default=None)
     p.add_argument("--path", action="append", help="path layer 'v0,v1,...[:style]'", default=None)
@@ -244,40 +244,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Each witness kind: its builder and the options, besides --m, that are its
+# keyword arguments, in the order they are asked for.
+_WITNESSES = {
+    "prop1": (build_prop1_path, ("k", "i")),
+    "p0": (build_p0, ("j", "s", "t")),
+    "p1": (build_p1, ("j", "alpha", "alpha_prime", "beta", "beta_prime")),
+}
+
+
 def _cmd_witness(args: argparse.Namespace) -> int:
-    m = _need(args, "m")
-    ctx = Context(m)
+    ctx = Context(_need(args, "m"))
+    build, names = _WITNESSES[args.kind]
+    params = {"m": ctx.m, **{name: _need(args, name) for name in names}}
+    path = build(**params)
+    contains = []
     if args.kind == "prop1":
-        params = Prop1Params(m=m, k=_need(args, "k"), i=_need(args, "i"))
-        path = build_prop1_path(params)
-        f, g, h = prop1_special_edges(params)
+        f, g, h = prop1_special_edges(ctx.m, params["k"])
         avoids, contains = [f, g], [h]
-        params_dict = {"m": m, "k": params.k, "i": params.i}
     elif args.kind == "p0":
-        j, s, t = _need(args, "j"), _need(args, "s"), _need(args, "t")
-        path = build_p0(m, j, s, t)
-        avoids, contains = [Edge(s, t)], []
-        params_dict = {"m": m, "j": j, "s": s, "t": t}
+        avoids = [Edge(params["s"], params["t"])]
     else:
-        params = P1Params(
-            m=m,
-            j=_need(args, "j"),
-            alpha=_need(args, "alpha"),
-            alpha2=_need(args, "alpha_prime"),
-            beta=_need(args, "beta"),
-            beta2=_need(args, "beta_prime"),
-        )
-        path = build_p1(params)
-        avoids = [Edge(params.alpha, params.beta), Edge(params.alpha2, params.beta2)]
-        contains = []
-        params_dict = {
-            "m": m,
-            "j": params.j,
-            "alpha": params.alpha,
-            "alpha_prime": params.alpha2,
-            "beta": params.beta,
-            "beta_prime": params.beta2,
-        }
+        avoids = [Edge(params["alpha"], params["beta"]), Edge(params["alpha_prime"], params["beta_prime"])]
     edge_set = path.edge_set()
     checks = {
         "is_shp": is_simple_hamiltonian_path(path, ctx),
@@ -285,7 +273,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         "contains": [str(e) for e in contains if e in edge_set],
     }
     ok = checks["is_shp"] and len(checks["avoids"]) == len(avoids) and len(checks["contains"]) == len(contains)
-    payload = {"kind": args.kind, "params": params_dict, "vertices": list(path.vertices), "checks": checks}
+    payload = {"kind": args.kind, "params": params, "vertices": list(path.vertices), "checks": checks}
     with _open_out(args.out) as out:
         _emit([_dumps(payload)], out)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
@@ -312,21 +300,10 @@ def _cmd_render(args: argparse.Namespace) -> int:
         layers.append(Layer(content=SimplePath(vertices), style=style))
     if not layers:
         raise _UsageError("nothing to draw: give --layer, --path or --background")
-    spec = RenderSpec(
-        m=ctx.m, layers=tuple(layers), show_labels=args.labels, highlight_angles=args.angles
-    )
-    svg = render_svg(spec)
+    svg = render_svg(ctx.m, layers, show_labels=args.labels, highlight_angles=args.angles)
     with _open_out(args.out) as out:
         out.write(svg)
     return EXIT_OK
-
-
-_HANDLERS = {
-    "enumerate": _cmd_enumerate,
-    "verify": _cmd_verify,
-    "witness": _cmd_witness,
-    "render": _cmd_render,
-}
 
 
 def _dispatch(argv: Sequence[str]) -> int:
@@ -341,11 +318,7 @@ def _dispatch(argv: Sequence[str]) -> int:
             raise ValueError(f"config file {known.config} must hold a JSON object")
     parser = build_parser(defaults)
     args = parser.parse_args(list(argv))
-    if args.command == "blockers":
-        if args.blockers_command == "formula":
-            return _cmd_blockers_formula(args)
-        return _cmd_blockers_exact(args)
-    return _HANDLERS[args.command](args)
+    return args.handler(args)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

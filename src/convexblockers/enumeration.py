@@ -94,29 +94,26 @@ def enumerate_shp(ctx: Context) -> Iterator[SimplePath]:
     Offsets and readings are byte strings, one byte per vertex: rotation is
     bytes.translate, and bytes of equal length sort as their vertex tuples
     do. Readings are sorted per start, which is their first vertex, so the
-    starts in turn give the global order; each start's readings become vertex
-    tuples before the next start is rotated. The offset table is dropped
-    before the first path is yielded.
+    starts in turn give the global order. Each start's paths are yielded as
+    soon as its readings are sorted, so only one start's readings are held
+    next to the offset table.
     """
     n = ctx.n
     by_end = _offsets_by_end(n)
     offsets = bytes(range(n))
-    found: list[tuple[int, ...]] = []
+    # SimplePath(t) with a tuple t stores t as is; skip its __init__ and
+    # __post_init__ and set the one field the way they do.
+    new, set_field = object.__new__, object.__setattr__
     for start in range(n):
         rotation = bytes.maketrans(offsets, offsets[start:] + offsets[:start])
         readings: list[bytes] = []
         for end in range(1, n - start):
             readings += map(bytes.translate, by_end[end], repeat(rotation))
         readings.sort()
-        found += map(tuple, readings)
-    del by_end
-    # SimplePath(t) with a tuple t stores t as is; skip its __init__ and
-    # __post_init__ and set the one field the way they do.
-    new, set_field = object.__new__, object.__setattr__
-    for vertices in found:
-        path = new(SimplePath)
-        set_field(path, "vertices", vertices)
-        yield path
+        for vertices in map(tuple, readings):
+            path = new(SimplePath)
+            set_field(path, "vertices", vertices)
+            yield path
 
 
 def odd_position_matching(p: SimplePath, ctx: Context) -> EdgeSet:

@@ -76,6 +76,8 @@ def parse_blocker_spec(text: str) -> BlockerSpec:
 
 def _validate(spec: BlockerSpec, ctx: Context) -> None:
     m = ctx.m
+    if not 0 <= spec.r < ctx.n:
+        raise ValueError(f"r={spec.r} out of range 0..{ctx.n - 1}")
     if not 2 <= spec.t <= m:
         raise ValueError(f"t={spec.t} out of range 2..{m}")
     eps = spec.epsilons

@@ -2,9 +2,9 @@
 
 Vertices sit on a regular polygon inside a fixed 512x512 viewBox, vertex 0 at
 the top, labels advancing with the drawing angle. Output is a pure function
-of the RenderSpec: same spec, same bytes. Styles are a small named palette so
-composite figures (a blocker over a dotted background, a bold witness path)
-stay legible in black and white.
+of the arguments: same arguments, same bytes. Styles are a small named
+palette so composite figures (a blocker over a dotted background, a bold
+witness path) stay legible in black and white.
 """
 
 from __future__ import annotations
@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from html import escape
+from typing import Sequence
 
 from .geometry import Context, Edge, SimplePath, direction
 
-__all__ = ["Layer", "RenderSpec", "STYLES", "render_svg"]
+__all__ = ["Layer", "STYLES", "render_svg"]
 
 SIZE = 512
 CENTER = SIZE / 2
@@ -39,14 +40,6 @@ class Layer:
     label: str | None = None
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    m: int
-    layers: tuple[Layer, ...]
-    show_labels: bool = True
-    highlight_angles: bool = False
-
-
 def _vertex_xy(v: int, n: int, radius: float) -> tuple[float, float]:
     theta = -math.pi / 2 + 2 * math.pi * v / n
     return CENTER + radius * math.cos(theta), CENTER + radius * math.sin(theta)
@@ -58,9 +51,9 @@ def _layer_edges(layer: Layer) -> list[Edge]:
     return sorted(layer.content)
 
 
-def render_svg(spec: RenderSpec) -> str:
-    """Render a RenderSpec to an SVG 1.1 document string."""
-    ctx = Context(spec.m)
+def render_svg(m: int, layers: Sequence[Layer], show_labels: bool = True, highlight_angles: bool = False) -> str:
+    """Render layers, in order, on the 2m-gon to an SVG 1.1 document string."""
+    ctx = Context(m)
     n = ctx.n
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -68,7 +61,7 @@ def render_svg(spec: RenderSpec) -> str:
         f'<rect width="{SIZE}" height="{SIZE}" fill="#ffffff"/>',
     ]
 
-    for li, layer in enumerate(spec.layers):
+    for li, layer in enumerate(layers):
         if layer.style not in STYLES:
             raise ValueError(f"unknown style {layer.style!r}, expected one of {sorted(STYLES)}")
         edges = _layer_edges(layer)
@@ -85,7 +78,7 @@ def render_svg(spec: RenderSpec) -> str:
             out.append(
                 f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" {STYLES[layer.style]}/>'
             )
-            if spec.highlight_angles:
+            if highlight_angles:
                 mx, my = (x1 + x2) / 2, (y1 + y2) / 2
                 out.append(
                     f'<text x="{mx:.2f}" y="{my:.2f}" font-size="9" fill="#cc0000" '
@@ -96,7 +89,7 @@ def render_svg(spec: RenderSpec) -> str:
     for v in range(n):
         x, y = _vertex_xy(v, n, RADIUS)
         out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3.5" fill="#000000"/>')
-        if spec.show_labels:
+        if show_labels:
             lx, ly = _vertex_xy(v, n, LABEL_RADIUS)
             out.append(
                 f'<text x="{lx:.2f}" y="{ly:.2f}" font-size="14" text-anchor="middle" '
@@ -104,7 +97,7 @@ def render_svg(spec: RenderSpec) -> str:
             )
 
     legend_y = 18
-    for layer in spec.layers:
+    for layer in layers:
         if layer.label:
             out.append(f'<text x="10" y="{legend_y}" font-size="12">{escape(layer.label, quote=False)} ({layer.style})</text>')
             legend_y += 16

@@ -53,14 +53,14 @@ def edge_set_system(family: Iterable[EdgeSet], ctx: Context) -> SetSystem:
 
     The family is consumed lazily, one member at a time, so a generator of
     edge sets is never held as a list: each edge set can be freed as soon as
-    it has become the tuple of its edge indices, which SetSystem sorts. Dense
-    index order is canonical edge order, so the sorted tuple lists the edges
-    as sorted() does. Raises ValueError, as Context.edge_index does, for an
-    edge that is not an edge of the 2m-gon.
+    it has become the sorted tuple of its edge indices, which SetSystem keeps
+    as it is. Dense index order is canonical edge order, so the sorted tuple
+    lists the edges as sorted() does. Raises ValueError, as
+    Context.edge_index does, for an edge that is not an edge of the 2m-gon.
     """
     index_of = ctx._index_of.__getitem__
     try:
-        sets = tuple(tuple(map(index_of, s)) for s in family)
+        sets = tuple(tuple(sorted(map(index_of, s))) for s in family)
     except KeyError as exc:
         ctx.edge_index(exc.args[0])  # raises the ValueError that names the edge
         raise
@@ -124,6 +124,10 @@ class TheoremReport:
         return self.status == "pass"
 
 
+def _profile_ok(blocker: EdgeSet, ctx: Context) -> bool:
+    return check_one_per_odd_direction([blocker], ctx) and check_boundary_edges_consecutive([blocker], ctx)
+
+
 def _first_unhit(blocker: tuple[int, ...], family: Iterable[tuple[int, ...]]) -> tuple[int, ...] | None:
     """The first member, in canonical order, that shares no edge index with blocker."""
     hit = set(blocker)
@@ -166,7 +170,7 @@ def verify_theorems(m: int, config: SolverConfig | None = None) -> TheoremReport
     checks = [
         (eq_families, lambda: _diff_witness("blocker_families_differ", key_shp, key_spm, *families, ctx)),
         (eq_formula, lambda: _diff_witness("formula_family_differs", key_formula, key_spm, *formula, ctx)),
-        (min_ok, lambda: _witness("min_size_mismatch")),
+        (min_ok, lambda: _witness("min_size_mismatch", side="spm" if res_spm.min_size != m else "shp")),
         (
             all_caterpillar and all_spine,
             lambda: _witness("structure_check_failed", next(b for b, r in zip(distinct, reports) if not r.passes())),
@@ -175,7 +179,10 @@ def verify_theorems(m: int, config: SolverConfig | None = None) -> TheoremReport
             all_sweep,
             lambda: _witness("direction_sweep_failed", next(b for b in distinct if not direction_sweep_check(b, ctx))),
         ),
-        (one_per_odd and consecutive, lambda: _witness("profile_check_failed")),
+        (
+            one_per_odd and consecutive,
+            lambda: _witness("profile_check_failed", next(b for b in distinct if not _profile_ok(b, ctx))),
+        ),
     ]
 
     counterexample: dict | None = None

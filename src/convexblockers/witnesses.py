@@ -13,13 +13,9 @@ Hamiltonian vertex sequence; they never return partial paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .geometry import Context, Edge, SimplePath
+from .geometry import Edge, SimplePath
 
 __all__ = [
-    "P1Params",
-    "Prop1Params",
     "build_p0",
     "build_p1",
     "build_prop1_path",
@@ -54,31 +50,20 @@ def zigzag_arc(n: int, first: int, last: int, from_first: bool = True) -> tuple[
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Prop1Params:
-    """Parameters for the gap-witness family.
+def _check_gap(m: int, k: int) -> None:
+    if m < 3:
+        raise ValueError("gap witnesses need m >= 3")
+    if not 2 <= k <= m - 1:
+        raise ValueError(f"k={k} out of range 2..{m - 1}")
+
+
+def build_prop1_path(m: int, k: int, i: int) -> SimplePath:
+    """Hamiltonian path P_i through h = [2m-1, 0] avoiding f and g.
 
     Context: a candidate blocker is assumed to contain the boundary edges
     g = [0,1] and f = [m+k-1, m+k] but not the boundary edge h = [2m-1, 0];
     the paths P_1 .. P_(k-1) then show it misses some Hamiltonian path.
-    Requires 2 <= k <= m-1 and 1 <= i <= k-1.
-    """
-
-    m: int
-    k: int
-    i: int
-
-    def validate(self) -> None:
-        if self.m < 3:
-            raise ValueError("gap witnesses need m >= 3")
-        if not 2 <= self.k <= self.m - 1:
-            raise ValueError(f"k={self.k} out of range 2..{self.m - 1}")
-        if not 1 <= self.i <= self.k - 1:
-            raise ValueError(f"i={self.i} out of range 1..{self.k - 1}")
-
-
-def build_prop1_path(params: Prop1Params) -> SimplePath:
-    """Hamiltonian path P_i through h = [2m-1, 0] avoiding f and g.
+    Requires m >= 3, 2 <= k <= m-1 and 1 <= i <= k-1.
 
     The path is a zig-zag of the arc 0..2i entered at its middle vertex i and
     exited at 0, followed by h, followed by a zig-zag of the arc 2i+1..2m-1
@@ -86,21 +71,19 @@ def build_prop1_path(params: Prop1Params) -> SimplePath:
     edges other than h lie in directions 2i+1 and 2i-1, its even-direction
     edges in direction 2i, so distinct i share no odd-direction edge but h.
     """
-    params.validate()
-    n = 2 * params.m
-    i = params.i
+    _check_gap(m, k)
+    if not 1 <= i <= k - 1:
+        raise ValueError(f"i={i} out of range 1..{k - 1}")
+    n = 2 * m
     head = zigzag_arc(n, 0, 2 * i, from_first=True)[::-1]  # i, i+1, i-1, ..., 2i, 0
     tail = zigzag_arc(n, 2 * i + 1, n - 1, from_first=False)  # 2m-1, 2i+1, ..., m+i
     return SimplePath(head + tail)
 
 
-def prop1_special_edges(params: Prop1Params) -> tuple[Edge, Edge, Edge]:
+def prop1_special_edges(m: int, k: int) -> tuple[Edge, Edge, Edge]:
     """The boundary edges (f, g, h) referenced by the gap-witness hypotheses."""
-    n = 2 * params.m
-    f = Edge(params.m + params.k - 1, params.m + params.k)
-    g = Edge(0, 1)
-    h = Edge(n - 1, 0)
-    return f, g, h
+    _check_gap(m, k)
+    return Edge(m + k - 1, m + k), Edge(0, 1), Edge(2 * m - 1, 0)
 
 
 def build_p0(m: int, j: int, s: int, t: int) -> SimplePath:
@@ -127,62 +110,41 @@ def build_p0(m: int, j: int, s: int, t: int) -> SimplePath:
     return SimplePath(run + tail)
 
 
-@dataclass(frozen=True)
-class P1Params:
-    """Parameters for the double-chord witness.
+def build_p1(m: int, j: int, alpha: int, alpha_prime: int, beta: int, beta_prime: int) -> SimplePath:
+    """Hamiltonian path avoiding blockers that contain both chords
+    [alpha, beta] and [alpha', beta'].
 
     Context: a candidate blocker has boundary edges exactly the path 0..j and
-    also contains the two chords [alpha, beta] and [alpha2, beta2] rooted in
-    the interior of that path. Requires 0 < alpha < alpha2 < j,
-    j < beta < 2m, j < beta2 < 2m, beta - beta2 <= alpha2 - alpha, both
-    alpha + beta and alpha2 + beta2 odd, alpha + beta < alpha2 + beta2 < 2m.
-    """
-
-    m: int
-    j: int
-    alpha: int
-    alpha2: int
-    beta: int
-    beta2: int
-
-    def validate(self) -> None:
-        m, j = self.m, self.j
-        a, a2, b, b2 = self.alpha, self.alpha2, self.beta, self.beta2
-        n = 2 * m
-        if m < 3:
-            raise ValueError("double-chord witnesses need m >= 3")
-        if not 2 <= j <= m:
-            raise ValueError(f"j={j} out of range 2..{m}")
-        if not 0 < a < a2 < j:
-            raise ValueError(f"need 0 < alpha < alpha2 < j, got {a}, {a2}, j={j}")
-        if not (j < b < n and j < b2 < n):
-            raise ValueError(f"need j < beta, beta2 < 2m, got beta={b}, beta2={b2}")
-        if (a + b) % 2 == 0 or (a2 + b2) % 2 == 0:
-            raise ValueError("both chords must have odd direction")
-        if b - b2 > a2 - a:
-            raise ValueError(f"need beta - beta2 <= alpha2 - alpha, got {b - b2} > {a2 - a}")
-        if not a + b < a2 + b2:
-            raise ValueError(f"need alpha + beta < alpha2 + beta2, got {a + b} >= {a2 + b2}")
-        if a2 + b2 >= n:
-            raise ValueError(f"need alpha2 + beta2 < 2m, got {a2 + b2}")
-        # Implied by the above; kept as a guard for the boundary run below.
-        if b2 + a2 - a > n - 2:
-            raise ValueError("beta2 + alpha2 - alpha exceeds 2m - 2")
-
-
-def build_p1(params: P1Params) -> SimplePath:
-    """Hamiltonian path avoiding blockers that contain both chords of params.
+    also contains the two chords, rooted in the interior of that path.
+    Requires m >= 3, 2 <= j <= m, 0 < alpha < alpha' < j, j < beta < 2m,
+    j < beta' < 2m, beta - beta' <= alpha' - alpha, both alpha + beta and
+    alpha' + beta' odd, and alpha + beta < alpha' + beta' < 2m.
 
     Three pieces: a zig-zag of the arc alpha+1..beta traversed so that it ends
     at beta (its odd edges are parallel to [alpha, beta], never equal to it);
-    the boundary run beta..beta2+alpha2-alpha, which stays off the path 0..j;
+    the boundary run beta..beta'+alpha'-alpha, which stays off the path 0..j;
     then a zig-zag of the remaining arc back to alpha whose odd edges are
-    parallel to [alpha2, beta2], never equal to it.
+    parallel to [alpha', beta'], never equal to it.
     """
-    params.validate()
-    n = 2 * params.m
-    a, a2, b, b2 = params.alpha, params.alpha2, params.beta, params.beta2
-    pivot = b2 + a2 - a
+    a, a2, b, b2 = alpha, alpha_prime, beta, beta_prime
+    n = 2 * m
+    if m < 3:
+        raise ValueError("double-chord witnesses need m >= 3")
+    if not 2 <= j <= m:
+        raise ValueError(f"j={j} out of range 2..{m}")
+    if not 0 < a < a2 < j:
+        raise ValueError(f"need 0 < alpha < alpha_prime < j, got {a}, {a2}, j={j}")
+    if not (j < b < n and j < b2 < n):
+        raise ValueError(f"need j < beta, beta_prime < 2m, got beta={b}, beta_prime={b2}")
+    if (a + b) % 2 == 0 or (a2 + b2) % 2 == 0:
+        raise ValueError("both chords must have odd direction")
+    if b - b2 > a2 - a:
+        raise ValueError(f"need beta - beta_prime <= alpha_prime - alpha, got {b - b2} > {a2 - a}")
+    if not a + b < a2 + b2:
+        raise ValueError(f"need alpha + beta < alpha_prime + beta_prime, got {a + b} >= {a2 + b2}")
+    if a2 + b2 >= n:
+        raise ValueError(f"need alpha_prime + beta_prime < 2m, got {a2 + b2}")
+    pivot = b2 + a2 - a  # at most 2m - 2 by the checks above
     part_a = zigzag_arc(n, a + 1, b, from_first=False)[::-1]  # ends at beta
     part_b = tuple(range(b + 1, pivot + 1))
     part_c = zigzag_arc(n, pivot, a, from_first=True)[1:]  # pivot already placed

@@ -8,7 +8,6 @@ import pytest
 from convexblockers import (
     Context,
     Layer,
-    RenderSpec,
     SimplePath,
     parse_edge_set,
     render_svg,
@@ -120,6 +119,14 @@ def test_blockers_formula_single_spec(capsys):
     code, out, _ = run(capsys, "blockers", "formula", "--m", "6", "--spec", "0:3:1,2,4")
     assert code == 0
     assert out.strip() == "0-1,1-2,1-10,2-3,2-5,2-7"
+
+
+@pytest.mark.parametrize("spec", ["4:2", "5:2", "0:3"])
+def test_blockers_formula_bad_spec_is_domain_error(capsys, spec):
+    # the 4-gon has rotations 0..3 only, and t = 3 exceeds m = 2
+    code, out, err = run(capsys, "blockers", "formula", "--m", "2", "--spec", spec)
+    assert code == 2 and out == ""
+    assert "out of range" in err
 
 
 def test_blockers_formula_family_lines(capsys):
@@ -302,6 +309,7 @@ def test_config_missing_file(tmp_path, capsys):
         ({"m": 3, "family": "xyz"}, "'family'"),
         ({"m": 3, "count_only": 1}, "'count_only'"),
         ({"m": 3, "layer": "0-1"}, "'layer'"),
+        ({"m": 3, "handler": "verify"}, "'handler'"),
     ],
 )
 def test_config_rejects_unknown_keys_and_bad_values(tmp_path, capsys, config, needle):
@@ -328,15 +336,12 @@ def test_config_accepts_every_option_kind(tmp_path, capsys):
 
 def test_render_svg_structure():
     ctx = Context(6)
-    spec = RenderSpec(
-        m=6,
-        layers=(
-            Layer(content=frozenset(ctx.all_edges), style="dotted", label="all edges"),
-            Layer(content=parse_edge_set("0-1,1-2,1-10,2-3,2-5,2-7"), style="bold"),
-            Layer(content=SimplePath((1, 2, 0, 11, 3, 10, 4, 9, 5, 8, 6, 7)), style="punctured"),
-        ),
-    )
-    svg = render_svg(spec)
+    layers = [
+        Layer(content=frozenset(ctx.all_edges), style="dotted", label="all edges"),
+        Layer(content=parse_edge_set("0-1,1-2,1-10,2-3,2-5,2-7"), style="bold"),
+        Layer(content=SimplePath((1, 2, 0, 11, 3, 10, 4, 9, 5, 8, 6, 7)), style="punctured"),
+    ]
+    svg = render_svg(6, layers)
     root = ET.fromstring(svg)
     assert root.tag.endswith("svg")
     ns = {"s": "http://www.w3.org/2000/svg"}
@@ -347,12 +352,7 @@ def test_render_svg_structure():
 
 
 def test_render_labels_off():
-    spec = RenderSpec(
-        m=2,
-        layers=(Layer(content=parse_edge_set("0-1"), style="solid"),),
-        show_labels=False,
-    )
-    svg = render_svg(spec)
+    svg = render_svg(2, [Layer(content=parse_edge_set("0-1"), style="solid")], show_labels=False)
     root = ET.fromstring(svg)
     ns = {"s": "http://www.w3.org/2000/svg"}
     assert root.findall(".//s:text", ns) == []
@@ -360,32 +360,25 @@ def test_render_labels_off():
 
 def test_render_escapes_layer_label():
     label = "M & H <x>"
-    spec = RenderSpec(m=2, layers=(Layer(content=parse_edge_set("0-1"), label=label),))
-    root = ET.fromstring(render_svg(spec))
+    root = ET.fromstring(render_svg(2, [Layer(content=parse_edge_set("0-1"), label=label)]))
     ns = {"s": "http://www.w3.org/2000/svg"}
     assert root.find(".//s:g/s:title", ns).text == label
     assert f"{label} (solid)" in [t.text for t in root.findall("s:text", ns)]
 
 
 def test_render_rejects_unknown_style():
-    spec = RenderSpec(m=2, layers=(Layer(content=parse_edge_set("0-1"), style="wavy"),))
     with pytest.raises(ValueError):
-        render_svg(spec)
+        render_svg(2, [Layer(content=parse_edge_set("0-1"), style="wavy")])
 
 
 def test_render_rejects_out_of_range_vertices():
-    spec = RenderSpec(m=2, layers=(Layer(content=parse_edge_set("0-9"), style="solid"),))
     with pytest.raises(ValueError):
-        render_svg(spec)
+        render_svg(2, [Layer(content=parse_edge_set("0-9"), style="solid")])
 
 
 def test_render_deterministic():
-    spec = RenderSpec(
-        m=3,
-        layers=(Layer(content=parse_edge_set("0-1,2-5"), style="bold"),),
-        highlight_angles=True,
-    )
-    assert render_svg(spec) == render_svg(spec)
+    layers = [Layer(content=parse_edge_set("0-1,2-5"), style="bold")]
+    assert render_svg(3, layers, highlight_angles=True) == render_svg(3, layers, highlight_angles=True)
 
 
 def test_render_cli_file_and_stdout(tmp_path, capsys):

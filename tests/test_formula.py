@@ -70,6 +70,8 @@ def test_spec_validation():
         BlockerSpec(0, 3, (3,)),  # epsilon above m-2
         BlockerSpec(0, 2, (2, 1)),  # not increasing
         BlockerSpec(0, 2, (1, 1)),  # not strictly increasing
+        BlockerSpec(-1, 2, (1, 2)),  # rotation below 0
+        BlockerSpec(8, 2, (1, 2)),  # rotation above 2m-1
     ]
     for spec in bad:
         with pytest.raises(ValueError):

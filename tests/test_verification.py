@@ -289,13 +289,17 @@ def _drop_first_shp(fam, res):
     return dataclasses.replace(res, solutions=res.solutions[1:]) if fam == "shp" else res
 
 
-def _raise_min(fam, res):
-    return dataclasses.replace(res, min_size=res.min_size + 1)
+def _raise_min(*families):
+    """Solver edit: raise the m=3 min_size of families by one."""
+
+    def edit(fam, res):
+        return dataclasses.replace(res, min_size=res.min_size + 1) if fam in families else res
+
+    return edit
 
 
 # Each case damages one input of verify_theorems(3) and pins the
-# counterexample that the report names. Every dict was computed before the
-# checks became one ordered list, so the rewrite kept the report unchanged.
+# counterexample that the report names.
 COUNTEREXAMPLES = {
     "shp_drops_blocker": (
         dict(solver=_drop_first_shp),
@@ -321,8 +325,12 @@ COUNTEREXAMPLES = {
          "unhit_member": "0-5,1-2,3-4"},
     ),
     "min_size_off_by_one": (
-        dict(solver=_raise_min),
-        {"kind": "min_size_mismatch", "edges": None, "side": None, "unhit_member": None},
+        dict(solver=_raise_min("spm", "shp")),
+        {"kind": "min_size_mismatch", "edges": None, "side": "spm", "unhit_member": None},
+    ),
+    "shp_min_size_off_by_one": (
+        dict(solver=_raise_min("shp")),
+        {"kind": "min_size_mismatch", "edges": None, "side": "shp", "unhit_member": None},
     ),
     "all_add_non_tree": (
         dict(solver=_add(NOT_A_TREE, "spm", "shp"), formula=lambda fam: fam + [NOT_A_TREE]),
@@ -334,7 +342,7 @@ COUNTEREXAMPLES = {
     ),
     "profile_check_fails": (
         dict(check_one_per_odd_direction=lambda blockers, ctx: False),
-        {"kind": "profile_check_failed", "edges": None, "side": None, "unhit_member": None},
+        {"kind": "profile_check_failed", "edges": "0-1,0-3,0-5", "side": None, "unhit_member": None},
     ),
 }
 

@@ -15,8 +15,6 @@ import pytest
 from convexblockers import (
     Context,
     Edge,
-    P1Params,
-    Prop1Params,
     SimplePath,
     build_p0,
     build_p1,
@@ -69,37 +67,40 @@ def _valid_prop1(max_m):
     for m in range(3, max_m + 1):
         for k in range(2, m):
             for i in range(1, k):
-                yield Prop1Params(m, k, i)
+                yield dict(m=m, k=k, i=i)
 
 
 def test_prop1_frozen_vectors():
-    assert build_prop1_path(Prop1Params(6, 3, 1)).vertices == (
+    assert build_prop1_path(6, 3, 1).vertices == (
         1, 2, 0, 11, 3, 10, 4, 9, 5, 8, 6, 7,
     )
-    assert build_prop1_path(Prop1Params(6, 3, 2)).vertices == (
+    assert build_prop1_path(6, 3, 2).vertices == (
         2, 3, 1, 4, 0, 11, 5, 10, 6, 9, 7, 8,
     )
 
 
 def test_prop1_special_edges():
-    f, g, h = prop1_special_edges(Prop1Params(6, 3, 1))
+    f, g, h = prop1_special_edges(6, 3)
     assert (f, g, h) == (Edge(8, 9), Edge(0, 1), Edge(0, 11))
 
 
 def test_prop1_param_validation():
     for bad in [(2, 2, 1), (4, 1, 1), (4, 4, 1), (4, 2, 0), (4, 2, 2), (4, 3, 3)]:
         with pytest.raises(ValueError):
-            build_prop1_path(Prop1Params(*bad))
+            build_prop1_path(*bad)
+    for m, k in [(2, 2), (4, 1), (4, 4)]:
+        with pytest.raises(ValueError):
+            prop1_special_edges(m, k)
 
 
 def test_prop1_shp_endpoints_and_special_edges():
     # every witness runs from vertex i to m+i, through h, missing f and g
     for p in _valid_prop1(8):
-        ctx = Context(p.m)
-        path = build_prop1_path(p)
+        ctx = Context(p["m"])
+        path = build_prop1_path(**p)
         assert is_simple_hamiltonian_path(path, ctx), p
-        assert {path.vertices[0], path.vertices[-1]} == {p.i, p.m + p.i}
-        f, g, h = prop1_special_edges(p)
+        assert {path.vertices[0], path.vertices[-1]} == {p["i"], p["m"] + p["i"]}
+        f, g, h = prop1_special_edges(p["m"], p["k"])
         es = path.edge_set()
         assert h in es and f not in es and g not in es, p
 
@@ -108,31 +109,32 @@ def test_prop1_direction_structure():
     # odd-order edges sit in directions 2i-1 and 2i+1 (besides h);
     # even-order edges all in direction 2i
     for p in _valid_prop1(8):
-        ctx = Context(p.m)
-        _, _, h = prop1_special_edges(p)
-        for e in build_prop1_path(p).edges():
+        ctx = Context(p["m"])
+        _, _, h = prop1_special_edges(p["m"], p["k"])
+        for e in build_prop1_path(**p).edges():
             if e == h:
                 continue
             d = direction(e, ctx)
             if order(e, ctx) % 2 == 1:
-                assert d in (2 * p.i - 1, 2 * p.i + 1), (p, e)
+                assert d in (2 * p["i"] - 1, 2 * p["i"] + 1), (p, e)
             else:
-                assert d == 2 * p.i, (p, e)
+                assert d == 2 * p["i"], (p, e)
 
 
 def test_prop1_batch_sizes():
     # i edges in each of directions 2i+1 / head, m-1-i in 2i-1, m-1 in 2i
     for p in _valid_prop1(8):
-        ctx = Context(p.m)
-        _, _, h = prop1_special_edges(p)
-        es = [e for e in build_prop1_path(p).edges() if e != h]
+        m, i = p["m"], p["i"]
+        ctx = Context(m)
+        _, _, h = prop1_special_edges(m, p["k"])
+        es = [e for e in build_prop1_path(**p).edges() if e != h]
         by_dir = {}
         for e in es:
             by_dir.setdefault(direction(e, ctx), []).append(e)
-        assert len(by_dir[2 * p.i + 1]) == p.i
-        assert len(by_dir[2 * p.i - 1]) == p.m - 1 - p.i
-        assert len(by_dir[2 * p.i]) == p.m - 1
-        assert len(es) + 1 == 2 * p.m - 1
+        assert len(by_dir[2 * i + 1]) == i
+        assert len(by_dir[2 * i - 1]) == m - 1 - i
+        assert len(by_dir[2 * i]) == m - 1
+        assert len(es) + 1 == 2 * m - 1
 
 
 def test_prop1_pairwise_odd_order_disjoint():
@@ -140,8 +142,8 @@ def test_prop1_pairwise_odd_order_disjoint():
     for m in range(3, 9):
         for k in range(3, m):
             ctx = Context(m)
-            paths = [build_prop1_path(Prop1Params(m, k, i)) for i in range(1, k)]
-            _, _, h = prop1_special_edges(Prop1Params(m, k, 1))
+            paths = [build_prop1_path(m, k, i) for i in range(1, k)]
+            _, _, h = prop1_special_edges(m, k)
             odd_sets = [
                 {e for e in p.edge_set() if order(e, ctx) % 2 == 1} for p in paths
             ]
@@ -179,9 +181,8 @@ def test_prop1_some_witness_avoids_every_hypothesized_set():
     for m in (3, 4, 5):
         ctx = Context(m)
         for k in range(2, m):
-            p0 = Prop1Params(m, k, 1)
-            f, g, h = prop1_special_edges(p0)
-            paths = [build_prop1_path(Prop1Params(m, k, i)) for i in range(1, k)]
+            f, g, h = prop1_special_edges(m, k)
+            paths = [build_prop1_path(m, k, i) for i in range(1, k)]
             count = 0
             for blocker in _one_per_odd_direction_sets(ctx, force=(f, g), avoid=(h,)):
                 count += 1
@@ -288,15 +289,15 @@ def _valid_p1(max_m):
                                 continue
                             if not a + b < a2 + b2 < n:
                                 continue
-                            yield P1Params(m, j, a, a2, b, b2)
+                            yield dict(m=m, j=j, alpha=a, alpha_prime=a2, beta=b, beta_prime=b2)
 
 
 def test_p1_frozen_vector():
-    p = P1Params(m=6, j=3, alpha=1, alpha2=2, beta=6, beta2=7)
-    path = build_p1(p)
+    p = dict(m=6, j=3, alpha=1, alpha_prime=2, beta=6, beta_prime=7)
+    path = build_p1(**p)
     assert path.vertices == (4, 3, 5, 2, 6, 7, 8, 1, 9, 0, 10, 11)
     # boundary segment between the two zig-zags has length 2
-    assert (p.beta2 + p.alpha2 - p.alpha) - p.beta == 2
+    assert (p["beta_prime"] + p["alpha_prime"] - p["alpha"]) - p["beta"] == 2
     ctx = Context(6)
     odd_dirs = {
         direction(e, ctx)
@@ -309,34 +310,34 @@ def test_p1_frozen_vector():
 
 
 def test_p1_param_validation():
-    good = P1Params(6, 3, 1, 2, 6, 7)
-    build_p1(good)  # sanity
+    build_p1(6, 3, 1, 2, 6, 7)  # sanity
     bad_cases = [
-        dict(m=2, j=2, alpha=1, alpha2=1, beta=3, beta2=3),  # m too small
-        dict(m=6, j=1, alpha=0, alpha2=0, beta=6, beta2=7),  # j too small
-        dict(m=6, j=3, alpha=2, alpha2=1, beta=6, beta2=7),  # alpha order
-        dict(m=6, j=3, alpha=1, alpha2=2, beta=2, beta2=7),  # beta below j
-        dict(m=6, j=3, alpha=1, alpha2=2, beta=7, beta2=7),  # parity
-        dict(m=6, j=3, alpha=1, alpha2=2, beta=8, beta2=5),  # beta-beta2 gap
-        dict(m=6, j=3, alpha=1, alpha2=2, beta=8, beta2=7),  # sums not increasing
-        dict(m=6, j=5, alpha=1, alpha2=4, beta=6, beta2=9),  # sum2 >= 2m
+        dict(m=2, j=2, alpha=1, alpha_prime=1, beta=3, beta_prime=3),  # m too small
+        dict(m=6, j=1, alpha=0, alpha_prime=0, beta=6, beta_prime=7),  # j too small
+        dict(m=6, j=3, alpha=2, alpha_prime=1, beta=6, beta_prime=7),  # alpha order
+        dict(m=6, j=3, alpha=1, alpha_prime=2, beta=2, beta_prime=7),  # beta below j
+        dict(m=6, j=3, alpha=1, alpha_prime=2, beta=7, beta_prime=7),  # parity
+        dict(m=6, j=3, alpha=1, alpha_prime=2, beta=8, beta_prime=5),  # beta - beta_prime gap
+        dict(m=6, j=3, alpha=1, alpha_prime=2, beta=8, beta_prime=7),  # sums not increasing
+        dict(m=6, j=5, alpha=1, alpha_prime=4, beta=6, beta_prime=9),  # sum2 >= 2m
     ]
     for kw in bad_cases:
         with pytest.raises(ValueError):
-            build_p1(P1Params(**kw))
+            build_p1(**kw)
 
 
 def test_p1_structure_exhaustive():
     # odd-direction edges either run along the boundary strictly between
     # beta and the pivot, or are parallel-not-equal to one of the two chords
     for p in _valid_p1(8):
-        ctx = Context(p.m)
-        path = build_p1(p)
+        ctx = Context(p["m"])
+        path = build_p1(**p)
         assert is_simple_hamiltonian_path(path, ctx), p
-        chord1, chord2 = Edge(p.alpha, p.beta), Edge(p.alpha2, p.beta2)
+        a, a2, b, b2, j = p["alpha"], p["alpha_prime"], p["beta"], p["beta_prime"], p["j"]
+        chord1, chord2 = Edge(a, b), Edge(a2, b2)
         d1, d2 = direction(chord1, ctx), direction(chord2, ctx)
-        pivot = p.beta2 + p.alpha2 - p.alpha
-        run = {Edge(x, x + 1) for x in range(p.beta, pivot)}
+        pivot = b2 + a2 - a
+        run = {Edge(x, x + 1) for x in range(b, pivot)}
         assert run <= path.edge_set()
         assert chord1 not in path.edge_set() and chord2 not in path.edge_set()
         for e in path.edges():
@@ -345,8 +346,8 @@ def test_p1_structure_exhaustive():
             assert direction(e, ctx) in (d1, d2), (p, e)
         # when the chords point past the hypothesized boundary path 0..j
         # (as they always do in context), the witness keeps clear of it
-        if d1 > 2 * p.j and d2 > 2 * p.j:
-            on_path = {Edge(x, x + 1) for x in range(p.j)}
+        if d1 > 2 * j and d2 > 2 * j:
+            on_path = {Edge(x, x + 1) for x in range(j)}
             for e in path.edges():
                 if is_boundary(e, ctx):
                     assert e not in on_path, (p, e)
@@ -360,18 +361,18 @@ def test_p1_avoids_hypothesized_sets_exhaustive():
         ctx = Context(m)
         seen_nonvacuous = False
         for p in _valid_p1(m):
-            if p.m != m:
+            if p["m"] != m:
                 continue
-            path_edges = build_p1(p).edge_set()
-            boundary_on_path = tuple(Edge(x, x + 1) for x in range(p.j))
+            path_edges = build_p1(**p).edge_set()
+            boundary_on_path = tuple(Edge(x, x + 1) for x in range(p["j"]))
             off_limits = tuple(
                 e
                 for e in ctx.all_edges
                 if is_boundary(e, ctx) and e not in boundary_on_path
             )
             force = boundary_on_path + (
-                Edge(p.alpha, p.beta),
-                Edge(p.alpha2, p.beta2),
+                Edge(p["alpha"], p["beta"]),
+                Edge(p["alpha_prime"], p["beta_prime"]),
             )
             if len({direction(e, ctx) for e in force}) < len(force):
                 continue  # chord collides with a forced boundary direction
@@ -390,14 +391,13 @@ def test_p1_mirrored_case_via_reflection():
     from convexblockers import reflect, reflect_path
 
     ctx = Context(6)
-    p = P1Params(m=6, j=3, alpha=1, alpha2=2, beta=6, beta2=7)
-    axis = p.j
-    on_path = frozenset(Edge(x, x + 1) for x in range(p.j))
+    j = axis = 3
+    on_path = frozenset(Edge(x, x + 1) for x in range(j))
     assert reflect(on_path, axis, ctx) == on_path
-    chords = frozenset({Edge(p.alpha, p.beta), Edge(p.alpha2, p.beta2)})
+    chords = frozenset({Edge(1, 6), Edge(2, 7)})
     mirrored_chords = reflect(chords, axis, ctx)
     assert mirrored_chords != chords
-    mirrored_path = reflect_path(build_p1(p), axis, ctx)
+    mirrored_path = reflect_path(build_p1(m=6, j=j, alpha=1, alpha_prime=2, beta=6, beta_prime=7), axis, ctx)
     assert is_simple_hamiltonian_path(mirrored_path, ctx)
     assert mirrored_chords.isdisjoint(mirrored_path.edge_set())
     assert on_path.isdisjoint(mirrored_path.edge_set())
