@@ -23,7 +23,7 @@ from .formula import iter_blocker_specs, parse_blocker_spec, realize
 from .geometry import Context, Edge, SimplePath, format_edge_set, is_simple_hamiltonian_path, parse_edge_set
 from .hitting import SolverConfig, min_hitting_sets
 from .render import Layer, render_svg
-from .verification import edge_set_system, verify_theorems
+from .verification import canonical_json, edge_set_system, verify_theorems
 from .witnesses import build_p0, build_p1, build_prop1_path, prop1_special_edges
 
 EXIT_OK = 0
@@ -40,10 +40,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
-
-
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _open_out(out_path: str | None):
@@ -113,15 +109,8 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     p = leaf(sub, "witness", _cmd_witness, "explicit avoidance paths")
     p.add_argument("kind", choices=list(_WITNESSES))
     p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--i", type=int)
-    p.add_argument("--j", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--alpha", type=int)
-    p.add_argument("--alpha-prime", type=int, dest="alpha_prime")
-    p.add_argument("--beta", type=int)
-    p.add_argument("--beta-prime", type=int, dest="beta_prime")
+    for name in dict.fromkeys(n for _, names in _WITNESSES.values() for n in names):
+        p.add_argument("--" + name.replace("_", "-"), type=int)
     p.add_argument("--out")
 
     p = leaf(sub, "render", _cmd_render, "draw layers to SVG")
@@ -182,7 +171,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             rows = ({"kind": "spm", "edges": _pairs(s)} for s in items)
         else:
             rows = ({"kind": "shp", "vertices": list(p.vertices), "edges": _pairs(p.edge_set())} for p in items)
-        _emit([_dumps({"m": ctx.m, **row}) for row in rows], out)
+        _emit([canonical_json({"m": ctx.m, **row}) for row in rows], out)
     return EXIT_OK
 
 
@@ -199,7 +188,7 @@ def _cmd_blockers_formula(args: argparse.Namespace) -> int:
         s = realize(spec, ctx)
         first_spec.setdefault(s, spec)
     lines = [
-        _dumps({"m": ctx.m, "spec": first_spec[s].to_json_dict(), "edges": _pairs(s)})
+        canonical_json({"m": ctx.m, "spec": first_spec[s].to_json_dict(), "edges": _pairs(s)})
         for s in sorted(first_spec, key=lambda s: tuple(sorted(s)))
     ]
     with _open_out(args.out) as out:
@@ -214,7 +203,7 @@ def _cmd_blockers_exact(args: argparse.Namespace) -> int:
     with _open_out(args.out) as out:
         sets = enumerate_spm(ctx) if family == "spm" else (p.edge_set() for p in enumerate_shp(ctx))
         res = min_hitting_sets(edge_set_system(sets, ctx), config)
-        _emit([_dumps(res.to_json_dict())], out)
+        _emit([canonical_json(res.to_json_dict())], out)
     return EXIT_INCOMPLETE if res.status == "incomplete" else EXIT_OK
 
 
@@ -245,7 +234,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 # Each witness kind: its builder and the options, besides --m, that are its
-# keyword arguments, in the order they are asked for.
+# keyword arguments, in the order they are asked for. The witness parser has
+# one integer option per name, in order of first use.
 _WITNESSES = {
     "prop1": (build_prop1_path, ("k", "i")),
     "p0": (build_p0, ("j", "s", "t")),
@@ -275,7 +265,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     ok = checks["is_shp"] and len(checks["avoids"]) == len(avoids) and len(checks["contains"]) == len(contains)
     payload = {"kind": args.kind, "params": params, "vertices": list(path.vertices), "checks": checks}
     with _open_out(args.out) as out:
-        _emit([_dumps(payload)], out)
+        _emit([canonical_json(payload)], out)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 

@@ -16,18 +16,20 @@ direction by 2.
 
 The structural checks are deliberately independent of the generator: they
 look only at an edge set (tree shape, crossings, caterpillar spine, root
-monotonicity) so they can judge solver output that never saw the formula.
+monotonicity, one edge per odd direction, one boundary run) so they can
+judge solver output that never saw the formula. Every shape predicate lives
+here; the run check and the spine both read the boundary edges as the
+positions they step from (_boundary_steps).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .geometry import (
     Context,
-    Edge,
     EdgeSet,
     _any_crossing,
     _edge,
@@ -38,6 +40,8 @@ from .geometry import (
 __all__ = [
     "BlockerSpec",
     "CaterpillarReport",
+    "check_boundary_edges_consecutive",
+    "check_one_per_odd_direction",
     "direction_sweep_check",
     "enumerate_formula_family",
     "iter_blocker_specs",
@@ -146,17 +150,24 @@ def _adjacency(s: EdgeSet) -> dict[int, list[int]]:
     return adj
 
 
-def _paths_from(adj: dict[int, list[int]], u: int) -> dict[int, tuple[int, ...]]:
-    """The unique simple path from u to every vertex of a tree, as vertex tuples."""
-    paths = {u: (u,)}
-    stack = [u]
-    while stack:
-        node = stack.pop()
-        for w in adj[node]:
-            if w not in paths:
-                paths[w] = paths[node] + (w,)
-                stack.append(w)
-    return paths
+def _distances(adj: dict[int, list[int]], u: int) -> dict[int, int]:
+    """Breadth-first distances from u to every vertex reachable from it."""
+    dist = {u: 0}
+    frontier = [u]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
+def _boundary_steps(s: EdgeSet, ctx: Context) -> set[int]:
+    """The positions p whose boundary edge [p, p + 1 mod 2m] lies in s."""
+    return {e.a if e.b - e.a == 1 else e.b for e in s if is_boundary(e, ctx)}
 
 
 def validate_structure(s: EdgeSet, ctx: Context) -> CaterpillarReport:
@@ -172,17 +183,8 @@ def validate_structure(s: EdgeSet, ctx: Context) -> CaterpillarReport:
     vertices = sorted(adj)
 
     # Tree: connected on the touched vertices with |E| = |V| - 1.
-    seen = {vertices[0]}
-    frontier = [vertices[0]]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    is_tree = len(seen) == len(vertices) and len(edges) == len(vertices) - 1
+    dist = _distances(adj, vertices[0])
+    is_tree = len(dist) == len(vertices) and len(edges) == len(vertices) - 1
 
     is_noncrossing = not _any_crossing(edges, ctx)
 
@@ -196,24 +198,19 @@ def validate_structure(s: EdgeSet, ctx: Context) -> CaterpillarReport:
             sum(1 for w in adj[v] if w not in leaves) <= 2 for v in vertices if v not in leaves
         )
 
-        # Longest paths of the tree; accept any that is all boundary edges.
-        # A path that ends at a non-leaf extends past it, so every longest
-        # path joins two leaves: one search from each leaf finds them all.
-        ordered_leaves = sorted(leaves)
-        paths: list[tuple[int, ...]] = []
-        for i, u in enumerate(ordered_leaves):
-            from_u = _paths_from(adj, u)
-            paths += (from_u[v] for v in ordered_leaves[i + 1 :])
-        diameter = max(map(len, paths)) - 1
-        candidates = []
-        for p in paths:
-            if len(p) - 1 != diameter or diameter < 2:
-                continue
-            if all(is_boundary(e, ctx) for e in map(_edge, p, p[1:])):
-                rev = p[::-1]
-                candidates.append(p if p <= rev else rev)
-        if candidates:
-            boundary_spine = min(candidates)
+        # The vertex farthest from any start ends a longest path, so a second
+        # search from it reads off the diameter. A path of boundary edges
+        # steps around the circle in one direction, so the all-boundary
+        # longest paths are the windows of `diameter` consecutive steps.
+        n = ctx.n
+        diameter = max(_distances(adj, max(dist, key=dist.__getitem__)).values())
+        steps = _boundary_steps(s, ctx)
+        spines = [
+            tuple((p + i) % n for i in range(diameter + 1))
+            for p in steps
+            if diameter >= 2 and all((p + i) % n in steps for i in range(diameter))
+        ]
+        boundary_spine = min((min(path, path[::-1]) for path in spines), default=None)
 
     profile = tuple(sorted(direction(e, ctx) for e in edges))
     return CaterpillarReport(
@@ -228,15 +225,25 @@ def validate_structure(s: EdgeSet, ctx: Context) -> CaterpillarReport:
 def _boundary_run(s: EdgeSet, ctx: Context) -> tuple[int, int] | None:
     """(v0, t) when the boundary edges of s form one run of t >= 2 edges from v0 on, else None.
 
-    The run is v0, v0 + 1, ..., v0 + t mod 2m; a boundary edge sits at the
-    position of its first vertex in that circular order.
+    The run is v0, v0 + 1, ..., v0 + t mod 2m.
     """
     n = ctx.n
-    positions = {e.a if e.b - e.a == 1 else e.b for e in s if is_boundary(e, ctx)}
+    positions = _boundary_steps(s, ctx)
     if len(positions) < 2:
         return None
     starts = [x for x in positions if (x - 1) % n not in positions]
     return (starts[0], len(positions)) if len(starts) == 1 else None
+
+
+def check_one_per_odd_direction(blockers: Iterable[EdgeSet], ctx: Context) -> bool:
+    """True iff every given edge set uses each odd direction exactly once."""
+    want = list(range(1, ctx.n, 2))
+    return all(sorted(direction(e, ctx) for e in b) == want for b in blockers)
+
+
+def check_boundary_edges_consecutive(blockers: Iterable[EdgeSet], ctx: Context) -> bool:
+    """True iff each edge set's boundary edges form one consecutive run, length >= 2."""
+    return all(_boundary_run(b, ctx) is not None for b in blockers)
 
 
 def direction_sweep_check(s: EdgeSet, ctx: Context) -> bool:
@@ -250,13 +257,9 @@ def direction_sweep_check(s: EdgeSet, ctx: Context) -> bool:
     family, but computed without the generator.
     """
     n, m = ctx.n, ctx.m
-    dirs: dict[int, list[Edge]] = {}
-    for e in s:
-        dirs.setdefault(direction(e, ctx), []).append(e)
-    if sorted(dirs) != list(range(1, n, 2)):
+    if not check_one_per_odd_direction([s], ctx):
         return False
-    if any(len(v) != 1 for v in dirs.values()):
-        return False
+    by_direction = {direction(e, ctx): e for e in s}
 
     run = _boundary_run(s, ctx)
     if run is None:
@@ -268,7 +271,7 @@ def direction_sweep_check(s: EdgeSet, ctx: Context) -> bool:
     prev_root_offset = t
     for j in range(1, m - t + 1):
         d = (2 * v0 + 2 * (t + j) - 1) % n
-        e = dirs[d][0]
+        e = by_direction[d]
         ends_in = [v for v in (e.a, e.b) if v in interior]
         if len(ends_in) != 1:
             return False

@@ -29,7 +29,6 @@ __all__ = [
     "crosses",
     "direction",
     "direction_class",
-    "format_edge",
     "format_edge_set",
     "is_blocking_set",
     "is_boundary",
@@ -280,10 +279,6 @@ def is_blocking_set(candidate: EdgeSet, family: Iterable[EdgeSet]) -> bool:
         warnings.warn("is_blocking_set called with an empty family; vacuously true", stacklevel=2)
         return True
     return all(candidate & member for member in fam)
-
-
-def format_edge(e: Edge) -> str:
-    return str(e)
 
 
 def parse_edge(text: str) -> Edge:

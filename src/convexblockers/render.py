@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .geometry import Context, Edge, SimplePath, direction
 
-__all__ = ["Layer", "STYLES", "render_svg"]
+__all__ = ["Layer", "render_svg"]
 
 SIZE = 512
 CENTER = SIZE / 2

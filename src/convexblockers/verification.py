@@ -9,43 +9,48 @@ verify_theorems(m) re-derives everything from scratch and cross-compares:
      blockers;
   3. generate the explicit caterpillar family;
   4. compare the three blocker collections as sorted edge-index tuples and
-     shape-check every solver blocker (caterpillar, boundary spine, direction
-     sweep, one edge per odd direction, consecutive boundary edges).
+     shape-check every solver blocker with the predicates of formula.
 
 Dense index order is canonical edge order, so sorted index tuples compare and
 sort exactly as the edge sets they stand for; blockers become Edge values
 only for the shape checks and the report.
 
 The resulting TheoremReport is deterministic byte for byte: no timing, no
-environment data, and a content hash over the canonical serialization so
-repeated runs can be cached and compared.
+environment data. Its content_hash is derived, a SHA-256 over the
+canonical_json of the other fields, and from_json_dict rejects a report whose
+stored hash does not match its body.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Sequence
 
 from .enumeration import enumerate_shp, enumerate_spm
 from .formula import (
-    _boundary_run,
+    check_boundary_edges_consecutive,
+    check_one_per_odd_direction,
     direction_sweep_check,
     enumerate_formula_family,
     iter_blocker_specs,
     validate_structure,
 )
-from .geometry import Context, Edge, EdgeSet, direction, format_edge_set
+from .geometry import Context, Edge, EdgeSet, format_edge_set
 from .hitting import SetSystem, SolverConfig, min_hitting_sets
 
 __all__ = [
     "TheoremReport",
-    "check_boundary_edges_consecutive",
-    "check_one_per_odd_direction",
+    "canonical_json",
     "edge_set_system",
     "verify_theorems",
 ]
+
+
+def canonical_json(obj) -> str:
+    """Sorted keys, compact separators: the JSON of every report, its hash and each CLI line."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def edge_set_system(family: Iterable[EdgeSet], ctx: Context) -> SetSystem:
@@ -67,19 +72,10 @@ def edge_set_system(family: Iterable[EdgeSet], ctx: Context) -> SetSystem:
     return SetSystem(ground_size=ctx.num_edges, sets=sets)
 
 
-def check_one_per_odd_direction(blockers: Iterable[EdgeSet], ctx: Context) -> bool:
-    """True iff every given blocker uses each odd direction exactly once."""
-    want = list(range(1, ctx.n, 2))
-    return all(sorted(direction(e, ctx) for e in b) == want for b in blockers)
-
-
-def check_boundary_edges_consecutive(blockers: Iterable[EdgeSet], ctx: Context) -> bool:
-    """True iff each blocker's boundary edges form one consecutive run, length >= 2."""
-    return all(_boundary_run(b, ctx) is not None for b in blockers)
-
-
 @dataclass(frozen=True)
 class TheoremReport:
+    """The certificate for one m; content_hash is derived from the other fields."""
+
     m: int
     counts: dict
     min_sizes: dict
@@ -88,37 +84,25 @@ class TheoremReport:
     solver: dict
     status: str
     counterexample: dict | None
-    content_hash: str
+
+    @property
+    def content_hash(self) -> str:
+        """SHA-256 of the canonical JSON of every field."""
+        return hashlib.sha256(canonical_json(asdict(self)).encode()).hexdigest()
 
     def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "counts": self.counts,
-            "min_sizes": self.min_sizes,
-            "equalities": self.equalities,
-            "structure": self.structure,
-            "solver": self.solver,
-            "status": self.status,
-            "counterexample": self.counterexample,
-            "content_hash": self.content_hash,
-        }
+        return {**asdict(self), "content_hash": self.content_hash}
 
     def canonical_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TheoremReport":
-        return cls(
-            m=int(d["m"]),
-            counts=dict(d["counts"]),
-            min_sizes=dict(d["min_sizes"]),
-            equalities=dict(d["equalities"]),
-            structure=dict(d["structure"]),
-            solver=dict(d["solver"]),
-            status=str(d["status"]),
-            counterexample=d["counterexample"],
-            content_hash=str(d["content_hash"]),
-        )
+        """The report d holds; ValueError when its content_hash does not match its body."""
+        report = cls(**{f.name: d[f.name] for f in fields(cls)})
+        if report.content_hash != d["content_hash"]:
+            raise ValueError(f"report for m={report.m}: content_hash does not match the report body")
+        return report
 
     def passes(self) -> bool:
         return self.status == "pass"
@@ -194,9 +178,9 @@ def verify_theorems(m: int, config: SolverConfig | None = None) -> TheoremReport
         status = "fail"
         counterexample = next(witness() for ok, witness in checks if not ok)
 
-    report_dict = {
-        "m": m,
-        "counts": {
+    return TheoremReport(
+        m=m,
+        counts={
             "spm": len(spm.sets),
             "shp": len(shp.sets),
             "blockers_spm": len(key_spm),
@@ -204,12 +188,12 @@ def verify_theorems(m: int, config: SolverConfig | None = None) -> TheoremReport
             "formula_family": len(formula_family),
             "formula_specs": formula_specs,
         },
-        "min_sizes": {"spm": res_spm.min_size, "shp": res_shp.min_size},
-        "equalities": {
+        min_sizes={"spm": res_spm.min_size, "shp": res_shp.min_size},
+        equalities={
             "blockers_shp_eq_blockers_spm": eq_families,
             "blockers_spm_eq_formula_family": eq_formula,
         },
-        "structure": {
+        structure={
             "checked": len(distinct),
             "all_simple_caterpillar": all_caterpillar,
             "all_boundary_spine": all_spine,
@@ -217,17 +201,13 @@ def verify_theorems(m: int, config: SolverConfig | None = None) -> TheoremReport
             "one_per_odd_direction": one_per_odd,
             "boundary_edges_consecutive": consecutive,
         },
-        "solver": {
+        solver={
             "spm": {"status": res_spm.status, "nodes": res_spm.nodes},
             "shp": {"status": res_shp.status, "nodes": res_shp.nodes},
         },
-        "status": status,
-        "counterexample": counterexample,
-    }
-    digest = hashlib.sha256(
-        json.dumps(report_dict, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
-    return TheoremReport(content_hash=digest, **report_dict)
+        status=status,
+        counterexample=counterexample,
+    )
 
 
 def _witness(

@@ -182,6 +182,24 @@ def test_validate_structure_star_short_spine():
     assert rep.boundary_spine == (0, 1, 2)
 
 
+def test_validate_structure_spine_through_vertex_zero():
+    # the boundary run 10-11, 11-0, 0-1 wraps past vertex 0
+    ctx = Context(6)
+    s = realize(BlockerSpec(r=10, t=3, epsilons=(1, 2, 4)), ctx)
+    assert format_edge_set(s) == "0-1,0-3,0-5,0-11,8-11,10-11"
+    rep = validate_structure(s, ctx)
+    assert rep.boundary_spine == (1, 0, 11, 10)
+    assert rep.passes()
+
+
+def test_validate_structure_boundary_run_shorter_than_diameter():
+    # the run 10-11, 11-0, 0-1 has 3 edges; the longest path 10-11-0-1-5 has 4
+    rep = validate_structure(parse_edge_set("0-1,0-11,1-5,10-11"), Context(6))
+    assert rep.is_tree and rep.is_noncrossing and rep.is_caterpillar
+    assert rep.boundary_spine is None
+    assert not rep.passes()
+
+
 def test_validate_structure_rejects_empty_and_out_of_range():
     with pytest.raises(ValueError):
         validate_structure(frozenset(), Context(3))

@@ -79,6 +79,15 @@ def test_report_hash_covers_content(theorem_reports):
     assert hashlib.sha256(blob.encode()).hexdigest() == rep.content_hash
 
 
+@pytest.mark.parametrize("field, value", [("status", "fail"), ("content_hash", "0" * 64)])
+def test_report_with_edited_field_is_rejected(theorem_reports, field, value):
+    d = json.loads(theorem_reports[3].canonical_json())
+    assert d[field] != value
+    d[field] = value
+    with pytest.raises(ValueError, match="content_hash"):
+        TheoremReport.from_json_dict(d)
+
+
 def test_reports_deterministic(theorem_reports):
     fresh = verify_theorems(3)
     assert fresh.canonical_json() == theorem_reports[3].canonical_json()
