@@ -16,6 +16,7 @@ import contextlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from typing import Iterable, Sequence
 
 from .enumeration import enumerate_shp, enumerate_spm
@@ -52,7 +53,7 @@ def _open_out(out_path: str | None):
 
 
 def _emit(lines: Iterable[str], out) -> None:
-    out.write("".join(line + "\n" for line in lines))
+    out.writelines(line + "\n" for line in lines)
 
 
 def _need(args: argparse.Namespace, name: str):
@@ -155,10 +156,6 @@ def _check_config(defaults: dict, leaves: list[argparse.ArgumentParser]) -> None
             raise _UsageError(f"config key {key!r} has a value its option does not accept: {value!r}")
 
 
-def _pairs(s: Iterable[Edge]) -> list[list[int]]:
-    return [[e.a, e.b] for e in sorted(s)]
-
-
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     ctx = Context(_need(args, "m"))
     family = _need(args, "family")
@@ -167,30 +164,27 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         if args.count_only:
             _emit([str(sum(1 for _ in items))], out)
             return EXIT_OK
+        # An Edge is a tuple, so JSON writes it as [a, b].
         if family == "spm":
-            rows = ({"kind": "spm", "edges": _pairs(s)} for s in items)
+            rows = ({"kind": "spm", "edges": sorted(s)} for s in items)
         else:
-            rows = ({"kind": "shp", "vertices": list(p.vertices), "edges": _pairs(p.edge_set())} for p in items)
-        _emit([canonical_json({"m": ctx.m, **row}) for row in rows], out)
+            rows = ({"kind": "shp", "vertices": p.vertices, "edges": sorted(p.edge_set())} for p in items)
+        _emit((canonical_json({"m": ctx.m, **row}) for row in rows), out)
     return EXIT_OK
 
 
 def _cmd_blockers_formula(args: argparse.Namespace) -> int:
     ctx = Context(_need(args, "m"))
     if args.spec:
-        spec = parse_blocker_spec(args.spec)
-        line = format_edge_set(realize(spec, ctx))
-        with _open_out(args.out) as out:
-            _emit([line], out)
-        return EXIT_OK
-    first_spec: dict[frozenset, object] = {}
-    for spec in iter_blocker_specs(ctx):
-        s = realize(spec, ctx)
-        first_spec.setdefault(s, spec)
-    lines = [
-        canonical_json({"m": ctx.m, "spec": first_spec[s].to_json_dict(), "edges": _pairs(s)})
-        for s in sorted(first_spec, key=lambda s: tuple(sorted(s)))
-    ]
+        lines = [format_edge_set(realize(parse_blocker_spec(args.spec), ctx))]
+    else:
+        first_spec: dict[frozenset, object] = {}
+        for spec in iter_blocker_specs(ctx):
+            first_spec.setdefault(realize(spec, ctx), spec)
+        lines = (
+            canonical_json({"m": ctx.m, "spec": asdict(first_spec[s]), "edges": sorted(s)})
+            for s in sorted(first_spec, key=sorted)
+        )
     with _open_out(args.out) as out:
         _emit(lines, out)
     return EXIT_OK
@@ -203,7 +197,7 @@ def _cmd_blockers_exact(args: argparse.Namespace) -> int:
     with _open_out(args.out) as out:
         sets = enumerate_spm(ctx) if family == "spm" else (p.edge_set() for p in enumerate_shp(ctx))
         res = min_hitting_sets(edge_set_system(sets, ctx), config)
-        _emit([canonical_json(res.to_json_dict())], out)
+        _emit([canonical_json(asdict(res))], out)
     return EXIT_INCOMPLETE if res.status == "incomplete" else EXIT_OK
 
 
@@ -213,24 +207,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if m_to < m_from:
         raise _UsageError(f"--to {m_to} is smaller than --m {m_from}")
     config = SolverConfig(node_limit=args.node_limit)
-    lines = []
-    any_fail = False
-    any_incomplete = False
+    statuses = set()
     with _open_out(args.out) as out:
         for m in range(m_from, m_to + 1):
             started = time.perf_counter()
             report = verify_theorems(m, config)
             elapsed = time.perf_counter() - started
             print(f"m={m}: status={report.status} ({elapsed:.2f}s)", file=sys.stderr)
-            lines.append(report.canonical_json())
-            any_fail = any_fail or report.status == "fail"
-            any_incomplete = any_incomplete or report.status == "inconclusive"
-        _emit(lines, out)
-    if any_fail:
+            _emit([canonical_json(report.to_json_dict())], out)
+            out.flush()  # a sweep that stops early keeps the reports it finished
+            statuses.add(report.status)
+    if "fail" in statuses:
         return EXIT_VERIFY_FAIL
-    if any_incomplete:
-        return EXIT_INCOMPLETE
-    return EXIT_OK
+    return EXIT_INCOMPLETE if "inconclusive" in statuses else EXIT_OK
 
 
 # Each witness kind: its builder and the options, besides --m, that are its

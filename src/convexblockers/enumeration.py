@@ -6,11 +6,15 @@ H(ctx): all simple (noncrossing) Hamiltonian paths.
 Both enumerators are exact and deterministic, and at every m they yield the
 whole family in canonical sorted order: matchings by their sorted edge
 tuples, paths by their canonical vertex tuples. M comes from a chord-split
-recursion. H comes from one start-independent table: the vertex offsets of
-every end-choice string, built once and rotated to each start with C-level
-maps, so no path is walked vertex by vertex in Python. The test suite
-cross-validates H against an independent depth-first oracle and a
-permutation scan, and pins the order of H by digest at m = 6..8.
+recursion that yields this order with no sort: the chord from the first
+vertex of a segment is the smallest edge of every matching holding it, these
+chords come in ascending order, and the inner edges sort before the outer
+ones, so by induction the matchings come lexicographically. H comes from one
+start-independent table: the vertex offsets of every end-choice string,
+built once and rotated to each start with C-level maps, so no path is
+walked vertex by vertex in Python. The test suite cross-validates H against
+an independent depth-first oracle and a permutation scan, and pins the
+order of H by digest at m = 6..8.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from itertools import repeat
 from typing import Iterator
 
-from .geometry import Context, Edge, EdgeSet, SimplePath
+from .geometry import Context, Edge, EdgeSet, SimplePath, _edge
 from .witnesses import zigzag_arc
 
 __all__ = [
@@ -44,7 +48,7 @@ def _spm_segments(segment: tuple[int, ...]) -> Iterator[frozenset[Edge]]:
         return
     first = segment[0]
     for idx in range(1, len(segment), 2):
-        chord = Edge(first, segment[idx])
+        chord = _edge(first, segment[idx])
         for inner in _spm_segments(segment[1:idx]):
             for outer in _spm_segments(segment[idx + 1 :]):
                 yield inner | outer | {chord}
@@ -52,7 +56,7 @@ def _spm_segments(segment: tuple[int, ...]) -> Iterator[frozenset[Edge]]:
 
 def enumerate_spm(ctx: Context) -> Iterator[EdgeSet]:
     """Yield every simple perfect matching exactly once, canonically ordered."""
-    yield from sorted(_spm_segments(tuple(range(ctx.n))), key=lambda s: tuple(sorted(s)))
+    yield from _spm_segments(tuple(range(ctx.n)))
 
 
 def _offsets_by_end(n: int) -> list[list[bytes]]:

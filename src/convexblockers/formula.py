@@ -62,9 +62,6 @@ class BlockerSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilons", tuple(self.epsilons))
 
-    def to_json_dict(self) -> dict:
-        return {"r": self.r, "t": self.t, "epsilons": list(self.epsilons)}
-
 
 def parse_blocker_spec(text: str) -> BlockerSpec:
     """Parse 'r:t:e1,e2,...' (offsets part may be empty) into a BlockerSpec."""
@@ -136,7 +133,6 @@ class CaterpillarReport:
     is_noncrossing: bool
     is_caterpillar: bool
     boundary_spine: tuple[int, ...] | None
-    direction_profile: tuple[int, ...]
 
     def passes(self) -> bool:
         return self.is_tree and self.is_noncrossing and self.is_caterpillar and self.boundary_spine is not None
@@ -212,13 +208,11 @@ def validate_structure(s: EdgeSet, ctx: Context) -> CaterpillarReport:
         ]
         boundary_spine = min((min(path, path[::-1]) for path in spines), default=None)
 
-    profile = tuple(sorted(direction(e, ctx) for e in edges))
     return CaterpillarReport(
         is_tree=is_tree,
         is_noncrossing=is_noncrossing,
         is_caterpillar=is_caterpillar,
         boundary_spine=boundary_spine,
-        direction_profile=profile,
     )
 
 

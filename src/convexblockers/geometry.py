@@ -71,9 +71,10 @@ def _edge(a: int, b: int) -> Edge:
 
     The families hold millions of edge occurrences but only n(n-1)/2
     distinct pairs, so paths, rotations, reflections, the edge table of
-    Context and the formula family reuse these values instead of allocating
-    a tuple per occurrence. Both orders of a pair give the same object.
-    Failed calls are not cached, so a degenerate pair raises every time.
+    Context, the matchings and the formula family reuse these values
+    instead of allocating a tuple per occurrence. Both orders of a pair give
+    the same object. Failed calls are not cached, so a degenerate pair
+    raises every time.
     """
     return _edge(b, a) if a > b else Edge(a, b)
 

@@ -93,13 +93,6 @@ class SetSystem:
             norm.append(s)
         object.__setattr__(self, "sets", tuple(norm))
 
-    def to_json_dict(self) -> dict:
-        return {"ground_size": self.ground_size, "sets": [list(s) for s in self.sets]}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SetSystem":
-        return cls(ground_size=int(d["ground_size"]), sets=tuple(tuple(int(x) for x in s) for s in d["sets"]))
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -124,23 +117,6 @@ class SolverResult:
     solutions: tuple[tuple[int, ...], ...]
     status: str
     nodes: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "min_size": self.min_size,
-            "solutions": [list(s) for s in self.solutions],
-            "status": self.status,
-            "nodes": self.nodes,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SolverResult":
-        return cls(
-            min_size=int(d["min_size"]),
-            solutions=tuple(tuple(int(x) for x in s) for s in d["solutions"]),
-            status=str(d["status"]),
-            nodes=int(d["nodes"]),
-        )
 
 
 def _coverage(members: Sequence[Sequence[int]], ground_size: int) -> list[int]:

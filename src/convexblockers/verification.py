@@ -93,9 +93,6 @@ class TheoremReport:
     def to_json_dict(self) -> dict:
         return {**asdict(self), "content_hash": self.content_hash}
 
-    def canonical_json(self) -> str:
-        return canonical_json(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "TheoremReport":
         """The report d holds; ValueError when its content_hash does not match its body."""

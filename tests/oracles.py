@@ -203,7 +203,6 @@ def validate_structure_all_pairs(edges, n: int) -> CaterpillarReport:
         is_noncrossing=is_noncrossing,
         is_caterpillar=is_caterpillar,
         boundary_spine=boundary_spine,
-        direction_profile=tuple(sorted((a + b) % n for a, b in edges)),
     )
 
 

@@ -1,6 +1,9 @@
 """CLI subcommands end to end, plus the SVG renderer."""
 
+import hashlib
+import io
 import json
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -110,6 +113,60 @@ def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, arg
     assert code == 2 and out == ""
     assert "No such file or directory" in err
     assert "m=" not in err
+
+
+# ------------------------------------------------------------------ output
+
+# SHA-256 of the whole stdout of each command: every line and its bytes.
+PINNED_STDOUT = {
+    "enumerate --m 4 --family spm": "9ac78a0604082eb2a05c38c3abce2dbf147bd06f867daa5afc4c055b8d5e047e",
+    "enumerate --m 4 --family shp": "b7214a991fd2b69249739cad90e1c687825954e74ad4e4ce3f003353ae2ef102",
+    "blockers formula --m 4": "e04d5243a87a59d2c1962ee80a2f9b5e1e027ffacd8d73793b1b6d2d2d1e2e9e",
+    "blockers exact --m 4 --family spm": "7ca69d8f65aaca4d12138ec1954c7c45d459b4b5ff897ec6789b3ce7984eb8ee",
+    "blockers exact --m 4 --family shp": "1cfe26ec321bc07b8e85b85bd5957ff0afc7dd53b32d9990b6b359e4615e721e",
+    "verify --m 2 --to 4": "5aa382aadc8d806327303fb9f4aadf4ba3ae16898ebc1d9192bc6dbd17a01191",
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED_STDOUT))
+def test_pinned_stdout(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command]
+
+
+def test_enumerate_writes_each_line_as_it_is_made(monkeypatch):
+    buf = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", buf)
+    made = cli.enumerate_shp
+
+    def watched(ctx):
+        for i, path in enumerate(made(ctx)):
+            # the lines of paths 0..i-1 are written before path i is made
+            assert buf.getvalue().count("\n") == i
+            yield path
+
+    monkeypatch.setattr(cli, "enumerate_shp", watched)
+    assert main(["enumerate", "--m", "3", "--family", "shp"]) == 0
+    assert buf.getvalue().count("\n") == 48
+
+
+def test_verify_writes_each_report_before_the_next_m(monkeypatch):
+    buf = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", buf)
+    verify = cli.verify_theorems
+    started = []
+
+    def watched(m, config=None):
+        # the reports of the m values already done are written
+        assert buf.getvalue().count("\n") == len(started)
+        started.append(m)
+        return verify(m, config)
+
+    monkeypatch.setattr(cli, "verify_theorems", watched)
+    assert main(["verify", "--m", "2", "--to", "4"]) == 0
+    assert started == [2, 3, 4]
+    assert [json.loads(line)["m"] for line in buf.getvalue().splitlines()] == [2, 3, 4]
 
 
 # ---------------------------------------------------------------- blockers

@@ -12,9 +12,11 @@ from convexblockers import (
     Edge,
     SimplePath,
     canonical_spm_family,
+    check_one_per_odd_direction,
     direction,
     direction_sweep_check,
     enumerate_formula_family,
+    enumerate_spm,
     format_edge_set,
     is_blocking_set,
     iter_blocker_specs,
@@ -144,10 +146,11 @@ def test_spec_to_blocker_injective_small_m():
 
 
 def test_validate_structure_known_blocker():
-    rep = validate_structure(parse_edge_set(KNOWN_12GON_BLOCKER), Context(6))
+    s, ctx = parse_edge_set(KNOWN_12GON_BLOCKER), Context(6)
+    rep = validate_structure(s, ctx)
     assert rep.is_tree and rep.is_noncrossing and rep.is_caterpillar
     assert rep.boundary_spine == (0, 1, 2, 3)
-    assert rep.direction_profile == (1, 3, 5, 7, 9, 11)
+    assert check_one_per_odd_direction([s], ctx)
     assert rep.passes()
 
 
@@ -255,7 +258,15 @@ def test_every_layer_shares_one_edge_per_pair():
     ctx = Context(4)
     s = realize(BlockerSpec(r=5, t=2, epsilons=(1, 2)), ctx)
     path = SimplePath((0, 7, 1, 6, 2, 5, 3, 4))
-    layers = [s, rotate(s, 3, ctx), reflect(s, 6, ctx), path.edges(), path.edge_set(), *ctx.direction_classes]
+    layers = [
+        s,
+        rotate(s, 3, ctx),
+        reflect(s, 6, ctx),
+        path.edges(),
+        path.edge_set(),
+        *ctx.direction_classes,
+        *enumerate_spm(ctx),
+    ]
     for e in itertools.chain(*layers):
         assert e is ctx.all_edges[ctx.edge_index(e)]
 
@@ -267,7 +278,7 @@ def test_every_formula_member_passes_structure(theorem_reports):
             rep = validate_structure(s, ctx)
             assert rep.passes(), (m, format_edge_set(s))
             assert rep.boundary_spine is not None
-            assert rep.direction_profile == tuple(range(1, ctx.n, 2))
+            assert check_one_per_odd_direction([s], ctx)
 
 
 def test_direction_sweep_accepts_exactly_formula_family():

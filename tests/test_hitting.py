@@ -68,15 +68,6 @@ def test_set_system_rejects_empty_members(member):
         SetSystem(ground_size=3, sets=((0,), member))
 
 
-def test_set_system_json_roundtrip():
-    s = SetSystem(ground_size=5, sets=((0, 3), (1, 2, 4)))
-    d = s.to_json_dict()
-    assert json.loads(json.dumps(d)) == d
-    assert SetSystem.from_json_dict(d) == s
-    r = SolverResult(min_size=2, solutions=((0, 1), (0, 2)), status="complete", nodes=17)
-    assert SolverResult.from_json_dict(json.loads(json.dumps(r.to_json_dict()))) == r
-
-
 def test_single_element_sets_force_union():
     res = _solve(4, [(0,), (1,)])
     assert res.min_size == 2

@@ -15,6 +15,7 @@ from convexblockers import (
     SolverConfig,
     TheoremReport,
     boundary_hamiltonian_paths,
+    canonical_json,
     check_boundary_edges_consecutive,
     check_one_per_odd_direction,
     direction_class,
@@ -61,11 +62,11 @@ def test_report_structure_block(theorem_reports):
 def test_report_json_roundtrip(theorem_reports):
     rep = theorem_reports[3]
     d = rep.to_json_dict()
-    again = TheoremReport.from_json_dict(json.loads(rep.canonical_json()))
+    again = TheoremReport.from_json_dict(json.loads(canonical_json(d)))
     assert again == rep
     assert json.loads(json.dumps(d)) == d
     # canonical form is sorted and compact
-    text = rep.canonical_json()
+    text = canonical_json(d)
     assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
 
 
@@ -81,7 +82,7 @@ def test_report_hash_covers_content(theorem_reports):
 
 @pytest.mark.parametrize("field, value", [("status", "fail"), ("content_hash", "0" * 64)])
 def test_report_with_edited_field_is_rejected(theorem_reports, field, value):
-    d = json.loads(theorem_reports[3].canonical_json())
+    d = json.loads(canonical_json(theorem_reports[3].to_json_dict()))
     assert d[field] != value
     d[field] = value
     with pytest.raises(ValueError, match="content_hash"):
@@ -90,7 +91,7 @@ def test_report_with_edited_field_is_rejected(theorem_reports, field, value):
 
 def test_reports_deterministic(theorem_reports):
     fresh = verify_theorems(3)
-    assert fresh.canonical_json() == theorem_reports[3].canonical_json()
+    assert canonical_json(fresh.to_json_dict()) == canonical_json(theorem_reports[3].to_json_dict())
 
 
 # SHA-256 of each canonical report without content_hash and without the
