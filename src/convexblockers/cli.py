@@ -24,7 +24,7 @@ from .formula import iter_blocker_specs, parse_blocker_spec, realize
 from .geometry import Context, Edge, SimplePath, format_edge_set, is_simple_hamiltonian_path, parse_edge_set
 from .hitting import SolverConfig, min_hitting_sets
 from .render import Layer, render_svg
-from .verification import canonical_json, edge_set_system, verify_theorems
+from .verification import canonical_json, family_system, verify_theorems
 from .witnesses import build_p0, build_p1, build_prop1_path, prop1_special_edges
 
 EXIT_OK = 0
@@ -168,7 +168,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         if family == "spm":
             rows = ({"kind": "spm", "edges": sorted(s)} for s in items)
         else:
-            rows = ({"kind": "shp", "vertices": p.vertices, "edges": sorted(p.edge_set())} for p in items)
+            rows = ({"kind": "shp", "vertices": p.vertices, "edges": sorted(p.edges())} for p in items)
         _emit((canonical_json({"m": ctx.m, **row}) for row in rows), out)
     return EXIT_OK
 
@@ -195,8 +195,7 @@ def _cmd_blockers_exact(args: argparse.Namespace) -> int:
     family = _need(args, "family")
     config = SolverConfig(node_limit=args.node_limit)
     with _open_out(args.out) as out:
-        sets = enumerate_spm(ctx) if family == "spm" else (p.edge_set() for p in enumerate_shp(ctx))
-        res = min_hitting_sets(edge_set_system(sets, ctx), config)
+        res = min_hitting_sets(family_system(family, ctx), config)
         _emit([canonical_json(asdict(res))], out)
     return EXIT_INCOMPLETE if res.status == "incomplete" else EXIT_OK
 

@@ -19,7 +19,8 @@ look only at an edge set (tree shape, crossings, caterpillar spine, root
 monotonicity, one edge per odd direction, one boundary run) so they can
 judge solver output that never saw the formula. Every shape predicate lives
 here; the run check and the spine both read the boundary edges as the
-positions they step from (_boundary_steps).
+positions they step from (_boundary_steps), and the direction sweep reads
+every other edge as offsets from the first vertex of that run.
 """
 
 from __future__ import annotations
@@ -243,12 +244,16 @@ def check_boundary_edges_consecutive(blockers: Iterable[EdgeSet], ctx: Context) 
 def direction_sweep_check(s: EdgeSet, ctx: Context) -> bool:
     """Monotone-roots test: does the edge set look like a realized spec?
 
-    Requires one edge per odd direction and none even; the boundary edges must
-    form a single consecutive run of length >= 2 (the spine). Reading the
-    remaining edges by increasing direction beyond the spine's, each must join
-    an interior spine vertex (its root) to a vertex off the closed spine, with
-    the roots weakly decreasing. Equivalent to membership in the realized
-    family, but computed without the generator.
+    Requires one edge per odd direction and none even, and boundary edges that
+    form one run v0, v0+1, ..., v0+t of t >= 2 edges (the spine). In offsets
+    from v0 the spine interior is 1..t-1 and the vertices off the closed spine
+    are t+1..2m-1. Each remaining edge, by increasing direction 2(v0+t+j)-1
+    for j = 1..m-t, must join an interior vertex (its root) to one off the
+    closed spine, with the roots weakly decreasing. Every interior offset is
+    below every outer one, so with the edge's offsets sorted as low < high
+    this is 0 < low <= bound and t < high, where bound starts at t-1 and then
+    is the previous root. Equivalent to membership in the realized family,
+    but computed without the generator.
     """
     n, m = ctx.n, ctx.m
     if not check_one_per_odd_direction([s], ctx):
@@ -259,22 +264,11 @@ def direction_sweep_check(s: EdgeSet, ctx: Context) -> bool:
     if run is None:
         return False
     v0, t = run
-    closed = {(v0 + i) % n for i in range(t + 1)}
-    interior = {(v0 + i) % n for i in range(1, t)}
-
-    prev_root_offset = t
+    bound = t - 1
     for j in range(1, m - t + 1):
-        d = (2 * v0 + 2 * (t + j) - 1) % n
-        e = by_direction[d]
-        ends_in = [v for v in (e.a, e.b) if v in interior]
-        if len(ends_in) != 1:
+        e = by_direction[(2 * (v0 + t + j) - 1) % n]
+        low, high = sorted(((e.a - v0) % n, (e.b - v0) % n))
+        if not (0 < low <= bound and t < high):
             return False
-        root = ends_in[0]
-        other = e.b if root == e.a else e.a
-        if other in closed:
-            return False
-        rho = (root - v0) % n
-        if rho > prev_root_offset:
-            return False
-        prev_root_offset = rho
+        bound = low
     return True

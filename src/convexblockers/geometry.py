@@ -28,7 +28,6 @@ __all__ = [
     "SimplePath",
     "crosses",
     "direction",
-    "direction_class",
     "format_edge_set",
     "is_blocking_set",
     "is_boundary",
@@ -39,9 +38,7 @@ __all__ = [
     "parse_edge",
     "parse_edge_set",
     "reflect",
-    "reflect_path",
     "rotate",
-    "rotate_path",
 ]
 
 
@@ -190,15 +187,12 @@ def _any_crossing(edges: Iterable[Edge], ctx: Context) -> bool:
     return any(crosses(e, f, ctx) for e, f in combinations(edges, 2))
 
 
-def direction_class(k: int, ctx: Context) -> EdgeSet:
-    """All edges of direction k, 0 <= k < 2m."""
-    if not 0 <= k < ctx.n:
-        raise ValueError(f"direction {k} out of range 0..{ctx.n - 1}")
-    return ctx.direction_classes[k]
-
-
 def rotate(s: Iterable[Edge], r: int, ctx: Context) -> EdgeSet:
-    """Rotate an edge set by r vertices; directions shift by 2r mod 2m."""
+    """Rotate an edge set by r vertices; directions shift by 2r mod 2m.
+
+    A Hamiltonian path is fixed by its edge set, so rotate and reflect take
+    p.edge_set() for a path p.
+    """
     n = ctx.n
     return frozenset(_edge((e.a + r) % n, (e.b + r) % n) for e in s)
 
@@ -234,17 +228,6 @@ class SimplePath:
     def canonical(self) -> "SimplePath":
         rev = self.vertices[::-1]
         return self if self.vertices <= rev else SimplePath(rev)
-
-    def __str__(self) -> str:
-        return ",".join(str(v) for v in self.vertices)
-
-
-def rotate_path(p: SimplePath, r: int, ctx: Context) -> SimplePath:
-    return SimplePath(tuple((v + r) % ctx.n for v in p.vertices))
-
-
-def reflect_path(p: SimplePath, axis: int, ctx: Context) -> SimplePath:
-    return SimplePath(tuple((axis - v) % ctx.n for v in p.vertices))
 
 
 def is_noncrossing_path(p: SimplePath, ctx: Context) -> bool:

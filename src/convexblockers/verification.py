@@ -3,8 +3,9 @@
 verify_theorems(m) re-derives everything from scratch and cross-compares:
 
   1. enumerate both families (simple perfect matchings, simple Hamiltonian
-     paths) with the fast enumerators, streaming each straight into its
-     SetSystem over dense edge indices, the one form a family is held in;
+     paths) with the fast enumerators; family_system streams each straight
+     into its SetSystem over dense edge indices, the one form a family is
+     held in, and `blockers exact` builds its system the same way;
   2. hand both systems to the geometry-blind exact solver to get all minimum
      blockers;
   3. generate the explicit caterpillar family;
@@ -44,6 +45,7 @@ __all__ = [
     "TheoremReport",
     "canonical_json",
     "edge_set_system",
+    "family_system",
     "verify_theorems",
 ]
 
@@ -70,6 +72,20 @@ def edge_set_system(family: Iterable[EdgeSet], ctx: Context) -> SetSystem:
         ctx.edge_index(exc.args[0])  # raises the ValueError that names the edge
         raise
     return SetSystem(ground_size=ctx.num_edges, sets=sets)
+
+
+def family_system(family: str, ctx: Context) -> SetSystem:
+    """The SetSystem of one family of ctx: "spm" or "shp", streamed from its enumerator.
+
+    A path becomes its edge set; any other family name raises ValueError.
+    """
+    if family == "spm":
+        sets = enumerate_spm(ctx)
+    elif family == "shp":
+        sets = (p.edge_set() for p in enumerate_shp(ctx))
+    else:
+        raise ValueError(f"unknown family {family!r}, expected 'spm' or 'shp'")
+    return edge_set_system(sets, ctx)
 
 
 @dataclass(frozen=True)
@@ -118,8 +134,8 @@ def _first_unhit(blocker: tuple[int, ...], family: Iterable[tuple[int, ...]]) ->
 def verify_theorems(m: int, config: SolverConfig | None = None) -> TheoremReport:
     """Derive, solve, compare and shape-check everything for one m."""
     ctx = Context(m)
-    spm = edge_set_system(enumerate_spm(ctx), ctx)
-    shp = edge_set_system((p.edge_set() for p in enumerate_shp(ctx)), ctx)
+    spm = family_system("spm", ctx)
+    shp = family_system("shp", ctx)
     res_spm = min_hitting_sets(spm, config)
     res_shp = min_hitting_sets(shp, config)
 

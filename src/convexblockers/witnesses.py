@@ -13,6 +13,8 @@ Hamiltonian vertex sequence; they never return partial paths.
 
 from __future__ import annotations
 
+import itertools
+
 from .geometry import Edge, SimplePath
 
 __all__ = [
@@ -28,26 +30,20 @@ def zigzag_arc(n: int, first: int, last: int, from_first: bool = True) -> tuple[
     """Vertices of the circular arc first..last, taken alternately from the ends.
 
     The arc is read in ascending circular order from `first` to `last`
-    (inclusive, wrapping mod n). With from_first=True the sweep starts at the
-    `first` end: first, last, first+1, last-1, ...; otherwise it starts at the
-    `last` end. Consecutive output vertices always sit on opposite ends of the
-    remaining arc, so the induced path is noncrossing and its edges use exactly
-    two adjacent directions: first+last and first+last+1 (mod n) for
+    (inclusive, wrapping mod n), so its offsets from `first` are 0..L-1. One
+    end counts up from 0, the other down from L-1; the sweep takes from the
+    two ends in turn and keeps the first L. With from_first=True it starts at
+    the `first` end: first, last, first+1, last-1, ...; otherwise at the
+    `last` end. Consecutive output vertices always sit on opposite ends of
+    the remaining arc, so the induced path is noncrossing and its edges use
+    exactly two adjacent directions: first+last and first+last+1 (mod n) for
     from_first=True, first+last and first+last-1 for from_first=False.
     """
     length = (last - first) % n + 1
-    lo, hi = 0, length - 1
-    take_lo = from_first
-    out: list[int] = []
-    while lo <= hi:
-        if take_lo:
-            out.append((first + lo) % n)
-            lo += 1
-        else:
-            out.append((first + hi) % n)
-            hi -= 1
-        take_lo = not take_lo
-    return tuple(out)
+    up, down = range(length), range(length - 1, -1, -1)
+    ends = zip(up, down) if from_first else zip(down, up)
+    offsets = itertools.islice(itertools.chain.from_iterable(ends), length)
+    return tuple((first + k) % n for k in offsets)
 
 
 def _check_gap(m: int, k: int) -> None:

@@ -107,7 +107,7 @@ def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, arg
     def work(*args, **kwargs):
         raise AssertionError("work started before --out was opened")
 
-    for name in ("enumerate_spm", "enumerate_shp", "verify_theorems"):
+    for name in ("enumerate_spm", "enumerate_shp", "family_system", "verify_theorems"):
         monkeypatch.setattr(cli, name, work)
     code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "x.jsonl"))
     assert code == 2 and out == ""

@@ -23,9 +23,7 @@ from convexblockers import (
     odd_position_matching,
     parse_edge_set,
     reflect,
-    reflect_path,
     rotate,
-    rotate_path,
 )
 from oracles import brute_hamiltonian_paths, brute_perfect_matchings, enumerate_shp_dfs
 
@@ -196,9 +194,9 @@ def test_m8_families_are_canonical():
 
 @pytest.fixture(scope="module")
 def families():
-    """(canonical H vertex tuples, M edge sets) for m = 2..6."""
+    """(H edge sets, M edge sets) for m = 2..6; a path is fixed by its edge set."""
     return {
-        m: (frozenset(p.vertices for p in enumerate_shp(Context(m))), frozenset(enumerate_spm(Context(m))))
+        m: (frozenset(p.edge_set() for p in enumerate_shp(Context(m))), frozenset(enumerate_spm(Context(m))))
         for m in range(2, 7)
     }
 
@@ -215,8 +213,6 @@ dihedral_moves = st.integers(2, 6).flatmap(
 def test_families_closed_under_rotation_and_reflection(families, move):
     m, r, axis = move
     ctx = Context(m)
-    shp, spm = families[m]
-    for image in (lambda p: rotate_path(p, r, ctx), lambda p: reflect_path(p, axis, ctx)):
-        assert {image(SimplePath(t)).canonical().vertices for t in shp} == shp
-    assert {rotate(s, r, ctx) for s in spm} == spm
-    assert {reflect(s, axis, ctx) for s in spm} == spm
+    for family in families[m]:
+        assert {rotate(s, r, ctx) for s in family} == family
+        assert {reflect(s, axis, ctx) for s in family} == family

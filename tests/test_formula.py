@@ -283,8 +283,9 @@ def test_every_formula_member_passes_structure(theorem_reports):
 
 def test_direction_sweep_accepts_exactly_formula_family():
     # the sweep check recognizes formula membership among one-per-direction
-    # candidate sets built from odd direction classes
-    for m in (2, 3, 4):
+    # candidate sets built from odd direction classes; m = 5 is the first
+    # size with three diagonals, so two root comparisons run
+    for m in (2, 3, 4, 5):
         ctx = Context(m)
         fam = set(enumerate_formula_family(ctx))
         classes = [sorted(ctx.direction_classes[k]) for k in range(1, ctx.n, 2)]

@@ -11,7 +11,6 @@ from convexblockers import (
     SimplePath,
     crosses,
     direction,
-    direction_class,
     format_edge_set,
     is_boundary,
     is_noncrossing_path,
@@ -21,9 +20,7 @@ from convexblockers import (
     parse_edge,
     parse_edge_set,
     reflect,
-    reflect_path,
     rotate,
-    rotate_path,
 )
 from oracles import crosses_float
 
@@ -81,7 +78,7 @@ def test_direction_class_sizes_and_partition():
         ctx = Context(m)
         seen = set()
         for k in range(ctx.n):
-            cls = direction_class(k, ctx)
+            cls = ctx.direction_classes[k]
             expected = m if k % 2 == 1 else m - 1
             assert len(cls) == expected
             assert all(direction(e, ctx) == k for e in cls)
@@ -91,15 +88,15 @@ def test_direction_class_sizes_and_partition():
 
 def test_direction_class_frozen_m3():
     ctx = Context(3)
-    assert format_edge_set(direction_class(1, ctx)) == "0-1,2-5,3-4"
-    assert format_edge_set(direction_class(2, ctx)) == "0-2,3-5"
+    assert format_edge_set(ctx.direction_classes[1]) == "0-1,2-5,3-4"
+    assert format_edge_set(ctx.direction_classes[2]) == "0-2,3-5"
 
 
 def test_odd_direction_classes_are_matchings():
     for m in (2, 3, 4):
         ctx = Context(m)
         for k in range(1, ctx.n, 2):
-            assert is_simple_perfect_matching(direction_class(k, ctx), ctx)
+            assert is_simple_perfect_matching(ctx.direction_classes[k], ctx)
 
 
 def test_crosses_against_float_oracle_exhaustive():
@@ -169,13 +166,6 @@ def test_path_edges_are_plain_edge_values():
         assert type(e) is Edge and hash(e) == hash(Edge(e.b, e.a))
     back = pickle.loads(pickle.dumps(s))
     assert back == s and all(type(e) is Edge and e.a < e.b for e in back)
-
-
-def test_path_rotate_reflect():
-    ctx = Context(3)
-    p = SimplePath((0, 1, 2, 3, 4, 5))
-    assert rotate_path(p, 1, ctx).vertices == (1, 2, 3, 4, 5, 0)
-    assert reflect_path(p, 0, ctx).vertices == (0, 5, 4, 3, 2, 1)
 
 
 def test_path_predicates():

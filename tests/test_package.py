@@ -25,12 +25,12 @@ PUBLIC_NAMES = [
     "check_one_per_odd_direction",
     "crosses",
     "direction",
-    "direction_class",
     "direction_sweep_check",
     "edge_set_system",
     "enumerate_formula_family",
     "enumerate_shp",
     "enumerate_spm",
+    "family_system",
     "format_edge_set",
     "is_blocking_set",
     "is_boundary",
@@ -47,10 +47,8 @@ PUBLIC_NAMES = [
     "prop1_special_edges",
     "realize",
     "reflect",
-    "reflect_path",
     "render_svg",
     "rotate",
-    "rotate_path",
     "validate_structure",
     "verify_theorems",
     "zigzag_arc",

@@ -18,9 +18,10 @@ from convexblockers import (
     canonical_json,
     check_boundary_edges_consecutive,
     check_one_per_odd_direction,
-    direction_class,
     edge_set_system,
     enumerate_shp,
+    enumerate_spm,
+    family_system,
     parse_edge_set,
     verify_theorems,
 )
@@ -180,7 +181,7 @@ def _mutated_family(fam, drop=None, add=None):
 def test_formula_mismatch_detected_via_comparison():
     # simulate a wrong formula by comparing solver blockers against a
     # deliberately damaged family; the set comparison must notice
-    from convexblockers import enumerate_formula_family, enumerate_spm
+    from convexblockers import enumerate_formula_family
     from convexblockers import SetSystem, min_hitting_sets
 
     ctx = Context(3)
@@ -223,9 +224,15 @@ def test_every_blocker_is_minimal_exhaustively(m):
 
 def test_edge_set_system_matches_edge_index():
     ctx = Context(4)
-    fam = [p.edge_set() for p in enumerate_shp(ctx)]
-    want = SetSystem(ctx.num_edges, tuple(tuple(sorted(ctx.edge_index(e) for e in s)) for s in fam))
-    assert edge_set_system(fam, ctx) == want
+    for family, fam in (
+        ("shp", [p.edge_set() for p in enumerate_shp(ctx)]),
+        ("spm", list(enumerate_spm(ctx))),
+    ):
+        want = SetSystem(ctx.num_edges, tuple(tuple(sorted(ctx.edge_index(e) for e in s)) for s in fam))
+        assert edge_set_system(fam, ctx) == want
+        assert family_system(family, ctx) == want
+    with pytest.raises(ValueError, match="unknown family 'xyz'"):
+        family_system("xyz", ctx)
 
 
 def test_edge_set_system_rejects_edge_outside_polygon():

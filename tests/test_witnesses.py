@@ -388,7 +388,7 @@ def test_p1_mirrored_case_via_reflection():
     # the symmetric chord configuration (roots leaning toward j instead of 0)
     # is the reflection in axis j of a handled one; reflection fixes the
     # boundary path 0..j as a set, so the reflected witness settles that case
-    from convexblockers import reflect, reflect_path
+    from convexblockers import reflect
 
     ctx = Context(6)
     j = axis = 3
@@ -397,7 +397,8 @@ def test_p1_mirrored_case_via_reflection():
     chords = frozenset({Edge(1, 6), Edge(2, 7)})
     mirrored_chords = reflect(chords, axis, ctx)
     assert mirrored_chords != chords
-    mirrored_path = reflect_path(build_p1(m=6, j=j, alpha=1, alpha_prime=2, beta=6, beta_prime=7), axis, ctx)
+    p1 = build_p1(m=6, j=j, alpha=1, alpha_prime=2, beta=6, beta_prime=7)
+    mirrored_path = SimplePath(tuple((axis - v) % ctx.n for v in p1.vertices))
     assert is_simple_hamiltonian_path(mirrored_path, ctx)
     assert mirrored_chords.isdisjoint(mirrored_path.edge_set())
     assert on_path.isdisjoint(mirrored_path.edge_set())
