@@ -175,7 +175,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_blockers_formula(args: argparse.Namespace) -> int:
     ctx = Context(_need(args, "m"))
-    if args.spec:
+    if args.spec is not None:
         lines = [format_edge_set(realize(parse_blocker_spec(args.spec), ctx))]
     else:
         first_spec: dict[frozenset, object] = {}
@@ -267,7 +267,7 @@ def _split_style(text: str) -> tuple[str, str]:
 def _cmd_render(args: argparse.Namespace) -> int:
     ctx = Context(_need(args, "m"))
     layers: list[Layer] = []
-    if args.background:
+    if args.background is not None:
         layers.append(Layer(content=frozenset(ctx.all_edges), style=args.background))
     for text in args.layer or []:
         body, style = _split_style(text)
@@ -305,7 +305,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except SystemExit as exc:  # argparse --help

@@ -26,12 +26,10 @@ from .geometry import Context, Edge, EdgeSet, SimplePath, _edge
 from .witnesses import zigzag_arc
 
 __all__ = [
-    "boundary_hamiltonian_paths",
     "canonical_shp_family",
     "canonical_spm_family",
     "enumerate_shp",
     "enumerate_spm",
-    "odd_position_matching",
 ]
 
 
@@ -120,18 +118,6 @@ def enumerate_shp(ctx: Context) -> Iterator[SimplePath]:
             yield path
 
 
-def odd_position_matching(p: SimplePath, ctx: Context) -> EdgeSet:
-    """The matching formed by the 1st, 3rd, 5th, ... edges of a Hamiltonian path.
-
-    Any Hamiltonian path on 2m vertices has 2m-1 edges; the m odd-position
-    ones touch every vertex exactly once, and if the path is noncrossing the
-    result is a simple perfect matching contained in the path.
-    """
-    if len(p.vertices) != ctx.n:
-        raise ValueError(f"path visits {len(p.vertices)} vertices, expected {ctx.n}")
-    return frozenset(p.edges()[0::2])
-
-
 def canonical_spm_family(ctx: Context) -> list[EdgeSet]:
     """m pairwise disjoint simple perfect matchings: the odd direction classes.
 
@@ -154,12 +140,3 @@ def canonical_shp_family(ctx: Context) -> list[SimplePath]:
     n = ctx.n
     return [SimplePath(zigzag_arc(n, i + 1, i, from_first=False)).canonical() for i in range(ctx.m)]
 
-
-def boundary_hamiltonian_paths(ctx: Context) -> list[SimplePath]:
-    """The 2m Hamiltonian paths that run along the boundary circuit.
-
-    Dropping any single boundary edge from the circuit leaves a simple
-    Hamiltonian path; these are the 2m of them, canonically read.
-    """
-    n = ctx.n
-    return [SimplePath(tuple((start + i) % n for i in range(n))).canonical() for start in range(n)]

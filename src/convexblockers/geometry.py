@@ -15,7 +15,6 @@ and all public values are immutable.
 from __future__ import annotations
 
 import collections
-import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
@@ -29,7 +28,6 @@ __all__ = [
     "crosses",
     "direction",
     "format_edge_set",
-    "is_blocking_set",
     "is_boundary",
     "is_noncrossing_path",
     "is_simple_hamiltonian_path",
@@ -254,15 +252,6 @@ def is_simple_perfect_matching(s: EdgeSet, ctx: Context) -> bool:
     if len(set(touched)) != ctx.n or not all(0 <= v < ctx.n for v in touched):
         return False
     return not _any_crossing(edges, ctx)
-
-
-def is_blocking_set(candidate: EdgeSet, family: Iterable[EdgeSet]) -> bool:
-    """True iff the candidate intersects every member of the family."""
-    fam = list(family)
-    if not fam:
-        warnings.warn("is_blocking_set called with an empty family; vacuously true", stacklevel=2)
-        return True
-    return all(candidate & member for member in fam)
 
 
 def parse_edge(text: str) -> Edge:

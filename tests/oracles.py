@@ -8,6 +8,12 @@ the package is CaterpillarReport, a plain record, so that shape reports
 compare directly. The exception is reference_min_hitting_sets: a frozen
 copy of an earlier form of the package's solver, kept to pin that a
 faster form visits the same nodes and returns the same result.
+
+Three plain-tuple helpers state the paper's small facts over ints, tuples
+and sets: boundary_paths (the walks along the boundary circuit),
+odd_position_pairs (the matching in a path's odd-position edges) and
+hits_all (does a set meet every member of a family). A package edge set
+compares equal to a frozenset of these pairs, because an Edge is a tuple.
 """
 
 from __future__ import annotations
@@ -79,6 +85,26 @@ def brute_perfect_matchings(n: int) -> list[frozenset[tuple[int, int]]]:
         if ok:
             out.append(frozenset(match))
     return out
+
+
+def boundary_paths(n: int) -> list[tuple[int, ...]]:
+    """The n walks along the boundary circuit of the n-gon, one per start.
+
+    Each is the circuit with one boundary edge dropped, read from its
+    smaller end.
+    """
+    walks = [tuple((start + i) % n for i in range(n)) for start in range(n)]
+    return [min(w, w[::-1]) for w in walks]
+
+
+def odd_position_pairs(vertices: tuple[int, ...]) -> frozenset[tuple[int, int]]:
+    """The 1st, 3rd, 5th, ... steps of a vertex sequence, as sorted pairs."""
+    return frozenset(tuple(sorted(pair)) for pair in zip(vertices[0::2], vertices[1::2]))
+
+
+def hits_all(candidate, family) -> bool:
+    """Does the candidate set share an element with every member of the family?"""
+    return all(not candidate.isdisjoint(member) for member in family)
 
 
 def brute_hamiltonian_paths(n: int) -> set[tuple[int, ...]]:

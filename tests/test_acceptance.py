@@ -20,7 +20,6 @@ from convexblockers import (
     enumerate_formula_family,
     enumerate_shp,
     enumerate_spm,
-    format_edge_set,
     min_hitting_sets,
     parse_edge_set,
     realize,

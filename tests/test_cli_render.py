@@ -54,6 +54,15 @@ def test_domain_error_exit_code(capsys):
     assert "m" in err
 
 
+def test_huge_m_is_domain_error(capsys):
+    # too large for the range of vertex labels: an error message, not a traceback
+    code, out, err = run(
+        capsys, "enumerate", "--m", "99999999999999999999999", "--family", "spm", "--count-only"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 # --------------------------------------------------------------- enumerate
 
 
@@ -178,12 +187,13 @@ def test_blockers_formula_single_spec(capsys):
     assert out.strip() == "0-1,1-2,1-10,2-3,2-5,2-7"
 
 
-@pytest.mark.parametrize("spec", ["4:2", "5:2", "0:3"])
+@pytest.mark.parametrize("spec", ["4:2", "5:2", "0:3", ""])
 def test_blockers_formula_bad_spec_is_domain_error(capsys, spec):
-    # the 4-gon has rotations 0..3 only, and t = 3 exceeds m = 2
+    # the 4-gon has rotations 0..3 only, and t = 3 exceeds m = 2; an empty
+    # spec is a malformed one, not a missing one
     code, out, err = run(capsys, "blockers", "formula", "--m", "2", "--spec", spec)
     assert code == 2 and out == ""
-    assert "out of range" in err
+    assert ("out of range" if spec else "bad spec text") in err
 
 
 def test_blockers_formula_family_lines(capsys):
@@ -459,6 +469,12 @@ def test_render_cli_file_and_stdout(tmp_path, capsys):
 def test_render_cli_requires_content(capsys):
     code, _, _ = run(capsys, "render", "--m", "3")
     assert code == 1
+
+
+def test_render_cli_empty_background_is_domain_error(capsys):
+    code, out, err = run(capsys, "render", "--m", "3", "--layer", "0-1", "--background", "")
+    assert code == 2 and out == ""
+    assert "unknown style ''" in err
 
 
 def test_render_cli_no_labels(capsys):

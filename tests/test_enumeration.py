@@ -1,7 +1,6 @@
 """Enumerators vs. brute-force oracles and closed-form counts."""
 
 import hashlib
-import itertools
 import pickle
 
 import pytest
@@ -10,9 +9,7 @@ from hypothesis import strategies as st
 
 from convexblockers import (
     Context,
-    Edge,
     SimplePath,
-    boundary_hamiltonian_paths,
     canonical_shp_family,
     canonical_spm_family,
     direction,
@@ -20,12 +17,16 @@ from convexblockers import (
     enumerate_spm,
     is_simple_hamiltonian_path,
     is_simple_perfect_matching,
-    odd_position_matching,
-    parse_edge_set,
     reflect,
     rotate,
 )
-from oracles import brute_hamiltonian_paths, brute_perfect_matchings, enumerate_shp_dfs
+from oracles import (
+    boundary_paths,
+    brute_hamiltonian_paths,
+    brute_perfect_matchings,
+    enumerate_shp_dfs,
+    odd_position_pairs,
+)
 
 CATALAN = {2: 2, 3: 5, 4: 14, 5: 42, 6: 132, 7: 429, 8: 1430}
 
@@ -112,29 +113,16 @@ def test_enumeration_order_is_deterministic():
     assert pa == pb == sorted(pa)
 
 
-def test_odd_position_matching_vector():
-    # alternating edges of the path 4,5,6,7,3,8,2,9,1,10,0,11
-    ctx = Context(6)
-    p = SimplePath((4, 5, 6, 7, 3, 8, 2, 9, 1, 10, 0, 11))
-    mm = odd_position_matching(p, ctx)
-    assert mm == parse_edge_set("4-5,6-7,3-8,2-9,1-10,0-11")
-    assert is_simple_perfect_matching(mm, ctx)
-
-
 def test_odd_position_matching_every_path():
-    # every SHP contains the matching made of its 1st, 3rd, 5th... edges
+    # the paper's observation: every SHP contains the simple perfect matching
+    # made of its 1st, 3rd, 5th... edges, so a blocker of M also blocks H
     for m in (2, 3, 4):
         ctx = Context(m)
+        spms = set(brute_perfect_matchings(ctx.n))
         for p in enumerate_shp(ctx):
-            mm = odd_position_matching(p, ctx)
-            assert is_simple_perfect_matching(mm, ctx)
-            assert mm <= p.edge_set()
-
-
-def test_odd_position_matching_rejects_short_path():
-    ctx = Context(3)
-    with pytest.raises(ValueError):
-        odd_position_matching(SimplePath((0, 1, 2)), ctx)
+            pairs = odd_position_pairs(p.vertices)
+            assert pairs in spms
+            assert pairs <= p.edge_set()
 
 
 def test_canonical_spm_family_is_odd_direction_classes():
@@ -170,7 +158,7 @@ def test_canonical_shp_family_m3_frozen():
 
 def test_boundary_hamiltonian_paths():
     ctx = Context(3)
-    fam = boundary_hamiltonian_paths(ctx)
+    fam = [SimplePath(vertices) for vertices in boundary_paths(ctx.n)]
     assert len(fam) == ctx.n
     for p in fam:
         assert is_simple_hamiltonian_path(p, ctx)

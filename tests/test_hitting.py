@@ -11,13 +11,11 @@ from hypothesis import strategies as st
 
 from convexblockers import (
     Context,
-    Edge,
     SetSystem,
     SolverConfig,
     SolverResult,
     enumerate_shp,
     enumerate_spm,
-    is_blocking_set,
     min_hitting_sets,
     parse_edge_set,
 )
@@ -146,15 +144,6 @@ def test_solver_config_rejects_negative_node_limit():
     # zero is a valid budget: the first node already exceeds it
     res = _solve(3, [(0, 1)], node_limit=0)
     assert (res.status, res.nodes) == ("incomplete", 1)
-
-
-def test_is_blocking_set():
-    ctx = Context(2)
-    fam = [s for s in enumerate_spm(ctx)]
-    assert is_blocking_set(parse_edge_set("0-1,1-2"), fam)
-    assert not is_blocking_set(parse_edge_set("0-1"), fam)
-    with pytest.warns(UserWarning):
-        assert is_blocking_set(parse_edge_set("0-1"), [])
 
 
 # ------------------------------------- geometric families, planted packings

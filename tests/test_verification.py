@@ -12,9 +12,9 @@ from convexblockers import (
     Context,
     Edge,
     SetSystem,
+    SimplePath,
     SolverConfig,
     TheoremReport,
-    boundary_hamiltonian_paths,
     canonical_json,
     check_boundary_edges_consecutive,
     check_one_per_odd_direction,
@@ -26,6 +26,7 @@ from convexblockers import (
     verify_theorems,
 )
 from convexblockers import verification
+from oracles import boundary_paths, hits_all
 
 SHP_COUNT = {m: 2 * m * 2 ** (2 * m - 3) for m in range(2, 8)}
 CATALAN = {2: 2, 3: 5, 4: 14, 5: 42, 6: 132}
@@ -159,7 +160,7 @@ def test_boundary_circuit_control_family():
     from convexblockers import SetSystem, min_hitting_sets
 
     ctx = Context(3)
-    fam = [p.edge_set() for p in boundary_hamiltonian_paths(ctx)]
+    fam = [SimplePath(vertices).edge_set() for vertices in boundary_paths(ctx.n)]
     system = SetSystem(
         ctx.num_edges,
         tuple(tuple(sorted(ctx.edge_index(e) for e in s)) for s in fam),
@@ -207,19 +208,19 @@ def test_every_blocker_is_minimal_exhaustively(m):
     # remove any single edge from any blocker: some family member escapes
     import itertools
 
-    from convexblockers import enumerate_formula_family, enumerate_spm, is_blocking_set
+    from convexblockers import enumerate_formula_family, enumerate_spm
 
     ctx = Context(m)
     spms = list(enumerate_spm(ctx))
     for blocker in enumerate_formula_family(ctx):
-        assert is_blocking_set(blocker, spms)
+        assert hits_all(blocker, spms)
         for e in blocker:
-            assert not is_blocking_set(blocker - {e}, spms)
+            assert not hits_all(blocker - {e}, spms)
     # and no smaller set at all blocks (full subset scan, small m only)
     if m <= 3:
         for size in range(m):
             for combo in itertools.combinations(ctx.all_edges, size):
-                assert not is_blocking_set(frozenset(combo), spms)
+                assert not hits_all(frozenset(combo), spms)
 
 
 def test_edge_set_system_matches_edge_index():
