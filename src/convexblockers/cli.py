@@ -5,8 +5,8 @@ render. All machine output is canonical JSON (sorted keys, compact
 separators) or the plain edge-set text format, written to stdout or --out;
 progress and timing go to stderr so repeated runs stay byte-identical.
 
-Exit codes: 0 success, 1 usage error, 2 domain error, 3 verification failure,
-4 solver gave up (node limit).
+Exit codes: 0 success, 1 usage error, 2 domain error (out of memory too),
+3 verification failure, 4 solver gave up (node limit).
 """
 
 from __future__ import annotations
@@ -312,6 +312,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code in (None, 0) else EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_DOMAIN
 
 

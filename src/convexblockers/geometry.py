@@ -15,6 +15,7 @@ and all public values are immutable.
 from __future__ import annotations
 
 import collections
+import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
@@ -84,7 +85,9 @@ class Context:
     """The complete convex geometric graph on n = 2m cyclically labeled vertices.
 
     m = 1 would make every edge a boundary edge and the families degenerate,
-    so construction requires m >= 2.
+    so construction requires m >= 2. It also requires that the n(n-1)/2
+    dense edge indices fit in sys.maxsize, the largest length of a Python
+    sequence, so a huge m fails here rather than in work that grows with m.
     """
 
     m: int
@@ -92,6 +95,8 @@ class Context:
     def __post_init__(self) -> None:
         if self.m < 2:
             raise ValueError(f"half-order m must be >= 2, got {self.m}")
+        if self.num_edges > sys.maxsize:
+            raise ValueError(f"half-order m={self.m} is too large: the 2m-gon has more than {sys.maxsize} edges")
 
     @property
     def n(self) -> int:

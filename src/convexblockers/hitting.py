@@ -40,6 +40,12 @@ increasing weight (the sum of the member's element frequencies).
   there the node asks only whether the element hits every member still
   unhit, and computes no bound.
 
+A member is a tuple of element indices or, in a system of bytes members,
+the bytes of those indices (see SetSystem). The solver only iterates
+members, deduplicates them, sorts them and takes their lengths, and sorted
+bytes do each of these as their index tuples do, so both kinds give the
+same order, packing, nodes and solutions; solutions are always tuples.
+
 Search state lives in Python big-int bitmasks over member indices and
 packing positions, which keeps the per-node cost at a handful of word
 operations even for thousands of members. The root counts as one node
@@ -71,21 +77,33 @@ class NodeLimitExceeded(Exception):
 
 @dataclass(frozen=True)
 class SetSystem:
-    """A finite ground set 0..ground_size-1 and a list of nonempty subsets."""
+    """A finite ground set 0..ground_size-1 and a list of nonempty subsets.
+
+    Each member is stored in one of two kinds, the same for the whole
+    system: a tuple of its elements in increasing order, or, when every
+    member given is bytes, the bytes of those elements (one byte each, so
+    elements below 256). Bytes iterate as their ints, and sorted bytes
+    deduplicate, sort and compare among themselves exactly as their element
+    tuples do, so the solver treats both kinds alike; bytes take about a
+    quarter of a tuple's memory.
+    """
 
     ground_size: int
-    sets: tuple[tuple[int, ...], ...]
+    sets: tuple[tuple[int, ...], ...] | tuple[bytes, ...]
 
     def __post_init__(self) -> None:
         if self.ground_size < 0:
             raise ValueError("ground_size must be nonnegative")
+        # The members are all bytes or all tuples: a system whose members are
+        # all bytes stays bytes, and any other system becomes tuples.
+        kind = bytes if all(type(s) is bytes for s in self.sets) else tuple
         norm = []
         for s in self.sets:
-            # A caller's canonical member (a nonempty tuple of strictly
-            # increasing elements) is kept as it is; only the others are
-            # sorted and deduplicated into one.
-            if not (type(s) is tuple and s and all(map(lt, s, s[1:]))):
-                s = tuple(sorted(set(s)))
+            # A caller's canonical member (a nonempty member of the system's
+            # kind, its elements strictly increasing) is kept as it is; only
+            # the others are sorted and deduplicated into one.
+            if not (type(s) is kind and s and all(map(lt, s, s[1:]))):
+                s = kind(sorted(set(s)))
                 if not s:
                     raise ValueError("member sets must be nonempty")
             if s[0] < 0 or s[-1] >= self.ground_size:

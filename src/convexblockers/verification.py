@@ -60,14 +60,19 @@ def edge_set_system(family: Iterable[EdgeSet], ctx: Context) -> SetSystem:
 
     The family is consumed lazily, one member at a time, so a generator of
     edge sets is never held as a list: each edge set can be freed as soon as
-    it has become the sorted tuple of its edge indices, which SetSystem keeps
-    as it is. Dense index order is canonical edge order, so the sorted tuple
-    lists the edges as sorted() does. Raises ValueError, as
+    it has become its sorted edge indices, which SetSystem keeps as they
+    are. While every index fits in a byte (at most 256 edges, m <= 11) a
+    member is the bytes of its sorted indices, about a quarter of the memory
+    of a tuple; above that it is their tuple. The solver gives the same
+    result for both kinds (see the hitting module), and its solutions are
+    tuples either way. Dense index order is canonical edge order, so the
+    sorted indices list the edges as sorted() does. Raises ValueError, as
     Context.edge_index does, for an edge that is not an edge of the 2m-gon.
     """
     index_of = ctx._index_of.__getitem__
+    pack = bytes if ctx.num_edges <= 256 else tuple
     try:
-        sets = tuple(tuple(sorted(map(index_of, s))) for s in family)
+        sets = tuple(pack(sorted(map(index_of, s))) for s in family)
     except KeyError as exc:
         ctx.edge_index(exc.args[0])  # raises the ValueError that names the edge
         raise
@@ -125,8 +130,11 @@ def _profile_ok(blocker: EdgeSet, ctx: Context) -> bool:
     return check_one_per_odd_direction([blocker], ctx) and check_boundary_edges_consecutive([blocker], ctx)
 
 
-def _first_unhit(blocker: tuple[int, ...], family: Iterable[tuple[int, ...]]) -> tuple[int, ...] | None:
-    """The first member, in canonical order, that shares no edge index with blocker."""
+def _first_unhit(blocker: tuple[int, ...], family: Iterable[Sequence[int]]) -> Sequence[int] | None:
+    """The first member, in canonical order, that shares no edge index with blocker.
+
+    Members are sorted edge indices, as tuples or bytes of one system.
+    """
     hit = set(blocker)
     return min((member for member in family if hit.isdisjoint(member)), default=None)
 
@@ -238,8 +246,9 @@ def _diff_witness(kind: str, key_a: Sequence, key_b: Sequence, a: tuple, b: tupl
     """The first blocker in exactly one of two sorted edge-index tuple lists.
 
     a and b are (side, family) for key_a and key_b: side names where the
-    blocker was found, family holds the index tuples whose first member the
-    blocker misses is shown. Only the report maps indices back to edges.
+    blocker was found, family holds the members (sorted edge indices) of
+    which the first one the blocker misses is shown. Only the report maps
+    indices back to edges.
     """
     first = min(set(key_a) ^ set(key_b))
     side, family = a if first in key_a else b

@@ -15,7 +15,7 @@ from convexblockers import (
     parse_edge_set,
     render_svg,
 )
-from convexblockers import cli
+from convexblockers import cli, verification
 from convexblockers.cli import main
 
 
@@ -61,6 +61,38 @@ def test_huge_m_is_domain_error(capsys):
     )
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--m", "99999999999999999999999"),
+        ("enumerate", "--m", "99999999999999999999999", "--family", "shp", "--count-only"),
+        ("render", "--m", "99999999999999999999999", "--layer", "0-1"),
+    ],
+)
+def test_huge_m_fails_before_any_work(capsys, monkeypatch, argv):
+    # Context rejects an m whose edge indices exceed sys.maxsize, so none of
+    # the work that grows with m starts
+    def work(*args, **kwargs):
+        raise AssertionError("work started for a huge m")
+
+    for name in ("enumerate_spm", "enumerate_shp", "render_svg"):
+        monkeypatch.setattr(cli, name, work)
+    monkeypatch.setattr(verification, "family_system", work)
+    monkeypatch.setattr(Context, "all_edges", property(work))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: half-order m=99999999999999999999999 is too large")
+
+
+def test_out_of_memory_is_domain_error(capsys, monkeypatch):
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "verify_theorems", exhaust)
+    code, out, err = run(capsys, "verify", "--m", "3")
+    assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
 # --------------------------------------------------------------- enumerate

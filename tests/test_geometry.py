@@ -1,7 +1,9 @@
 """Vertex/edge arithmetic against frozen values and the float oracle."""
 
 import itertools
+import math
 import pickle
+import sys
 
 import pytest
 
@@ -42,6 +44,18 @@ def test_context_rejects_tiny_m():
     with pytest.raises(ValueError):
         Context(1)
     assert Context(2).n == 4
+
+
+def test_context_rejects_m_whose_edge_indices_exceed_maxsize():
+    with pytest.raises(ValueError, match="too large"):
+        Context(10**22)
+    # the 2m-gon has m(2m - 1) edges; the first m above sys.maxsize is rejected
+    top = math.isqrt(sys.maxsize // 2)
+    while top * (2 * top - 1) <= sys.maxsize:
+        top += 1
+    assert Context(top - 1).num_edges <= sys.maxsize
+    with pytest.raises(ValueError, match="too large"):
+        Context(top)
 
 
 def test_context_edge_indexing_roundtrip():

@@ -16,6 +16,7 @@ from convexblockers import (
     SolverResult,
     enumerate_shp,
     enumerate_spm,
+    family_system,
     min_hitting_sets,
     parse_edge_set,
 )
@@ -36,6 +37,9 @@ def test_set_system_validation():
     # not copied
     member = tuple([0, 2])
     assert SetSystem(ground_size=3, sets=(member, [1])).sets[0] is member
+    # so is a canonical bytes member, in a system of bytes members
+    member = bytes([0, 2])
+    assert SetSystem(ground_size=3, sets=(member, b"\x01")).sets[0] is member
 
 
 @pytest.mark.parametrize(
@@ -46,24 +50,47 @@ def test_set_system_validation():
         ((1, True), (1,)),  # True == 1, so a repeated element too
         ([0, 2], (0, 2)),  # not a tuple
         ((0, 2), (0, 2)),  # canonical
+        pytest.param(b"\x02\x00\x01", b"\x00\x01\x02", id="bytes-unsorted"),
+        pytest.param(b"\x01\x01\x00", b"\x00\x01", id="bytes-repeated"),
+        pytest.param(b"\x00\x02", b"\x00\x02", id="bytes-canonical"),
     ],
 )
 def test_set_system_normalizes_members(given, stored):
-    member = SetSystem(ground_size=3, sets=(given,)).sets[0]
-    assert type(member) is tuple
-    assert [(type(e), e) for e in member] == [(type(e), e) for e in stored]
+    # Alone, a member keeps its kind, bytes or tuple; beside a tuple member
+    # it becomes a tuple, as every member of a system that mixes kinds does.
+    for sets, want in (((given,), stored), ((given, (1,)), tuple(stored))):
+        member = SetSystem(ground_size=3, sets=sets).sets[0]
+        assert type(member) is type(want)
+        assert [(type(e), e) for e in member] == [(type(e), e) for e in want]
 
 
-@pytest.mark.parametrize("member", [(0, 3), (3,), (-1, 0), (2, 0, 3), (0, 0, 3), [3, 0]])
+def _beside_first_element(member):
+    """member after the member {0} of its own kind, so a bytes member stays bytes."""
+    return (b"\x00" if type(member) is bytes else (0,), member)
+
+
+@pytest.mark.parametrize(
+    "member",
+    [
+        (0, 3),
+        (3,),
+        (-1, 0),
+        (2, 0, 3),
+        (0, 0, 3),
+        [3, 0],
+        pytest.param(b"\x00\x03", id="bytes"),
+        pytest.param(b"\x03\x00", id="bytes-unsorted"),
+    ],
+)
 def test_set_system_rejects_elements_out_of_range(member):
     with pytest.raises(ValueError, match=r"has elements outside 0\.\.2"):
-        SetSystem(ground_size=3, sets=((0,), member))
+        SetSystem(ground_size=3, sets=_beside_first_element(member))
 
 
-@pytest.mark.parametrize("member", [(), [], set(), ""])
+@pytest.mark.parametrize("member", [(), [], set(), "", pytest.param(b"", id="bytes")])
 def test_set_system_rejects_empty_members(member):
     with pytest.raises(ValueError, match="member sets must be nonempty"):
-        SetSystem(ground_size=3, sets=((0,), member))
+        SetSystem(ground_size=3, sets=_beside_first_element(member))
 
 
 def test_single_element_sets_force_union():
@@ -185,6 +212,16 @@ def _family_system(m, family):
     else:
         sets = [p.edge_set() for p in enumerate_shp(ctx)]
     return SetSystem(ctx.num_edges, tuple(tuple(sorted(ctx.edge_index(e) for e in s)) for s in sets))
+
+
+@pytest.mark.parametrize("family", ["spm", "shp"])
+@pytest.mark.parametrize("m", range(2, 8))
+def test_family_system_holds_bytes_members(m, family):
+    # the package's feed packs each member as the bytes of its sorted edge
+    # indices; as index lists they are the tuple pipeline's, in its order
+    members = family_system(family, Context(m)).sets
+    assert all(type(s) is bytes for s in members)
+    assert list(map(list, members)) == list(map(list, _family_system(m, family).sets))
 
 
 @pytest.mark.parametrize("family", ["spm", "shp"])
@@ -411,6 +448,27 @@ def test_search_matches_the_one_call_per_node_reference(case, data):
         assert (res.status, res.nodes) == ("incomplete", limit + 1)
     else:
         assert (res.status, res.nodes) == ("complete", total)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(solver_systems(), st.randoms(use_true_random=False), st.data())
+def test_bytes_members_give_the_same_result(case, rng, data):
+    # The same members as bytes and as tuples, given unsorted, with repeated
+    # elements and repeated members: both systems hold the same index lists,
+    # and the solver returns the same result for both, nodes included.
+    ground, sets = case
+    given = [rng.sample(s, len(s)) + rng.choices(s, k=rng.randint(0, 2)) for s in sets]
+    given += rng.choices(given, k=rng.randint(0, len(given)))
+    tuples = SetSystem(ground, tuple(map(tuple, given)))
+    packed = SetSystem(ground, tuple(map(bytes, given)))
+    assert all(type(s) is bytes for s in packed.sets)
+    assert list(map(list, packed.sets)) == list(map(list, tuples.sets))
+    total = min_hitting_sets(tuples).nodes
+    for limit in (SolverConfig().node_limit, data.draw(st.integers(0, total))):
+        config = SolverConfig(node_limit=limit)
+        res = min_hitting_sets(packed, config)
+        assert res == min_hitting_sets(tuples, config)
+        assert all(type(s) is tuple for s in res.solutions)
 
 
 @pytest.mark.parametrize("seed", range(4, 8))

@@ -11,7 +11,6 @@ import pytest
 from convexblockers import (
     Context,
     Edge,
-    SetSystem,
     SimplePath,
     SolverConfig,
     TheoremReport,
@@ -229,11 +228,21 @@ def test_edge_set_system_matches_edge_index():
         ("shp", [p.edge_set() for p in enumerate_shp(ctx)]),
         ("spm", list(enumerate_spm(ctx))),
     ):
-        want = SetSystem(ctx.num_edges, tuple(tuple(sorted(ctx.edge_index(e) for e in s)) for s in fam))
-        assert edge_set_system(fam, ctx) == want
-        assert family_system(family, ctx) == want
+        want = [sorted(ctx.edge_index(e) for e in s) for s in fam]
+        for system in (edge_set_system(fam, ctx), family_system(family, ctx)):
+            assert system.ground_size == ctx.num_edges
+            assert list(map(list, system.sets)) == want
     with pytest.raises(ValueError, match="unknown family 'xyz'"):
         family_system("xyz", ctx)
+
+
+@pytest.mark.parametrize("m, kind", [(11, bytes), (12, tuple)])
+def test_edge_set_system_packs_bytes_while_indices_fit_a_byte(m, kind):
+    # the last edge index is 230 at m = 11 and 275 at m = 12
+    ctx = Context(m)
+    (member,) = edge_set_system([frozenset({ctx.all_edges[-1], ctx.all_edges[0]})], ctx).sets
+    assert type(member) is kind
+    assert list(member) == [0, ctx.num_edges - 1]
 
 
 def test_edge_set_system_rejects_edge_outside_polygon():
