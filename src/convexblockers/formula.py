@@ -19,8 +19,8 @@ look only at an edge set (tree shape, crossings, caterpillar spine, root
 monotonicity, one edge per odd direction, one boundary run) so they can
 judge solver output that never saw the formula. Every shape predicate lives
 here; the run check and the spine both read the boundary edges as the
-positions they step from (_boundary_steps), and the direction sweep reads
-every other edge as offsets from the first vertex of that run.
+positions they step from (geometry._boundary_steps), and the direction sweep
+reads every other edge as offsets from the first vertex of that run.
 """
 
 from __future__ import annotations
@@ -31,11 +31,12 @@ from typing import Iterable, Iterator
 
 from .geometry import (
     Context,
+    Edge,
     EdgeSet,
     _any_crossing,
+    _boundary_steps,
     _edge,
     direction,
-    is_boundary,
 )
 
 __all__ = [
@@ -141,73 +142,69 @@ class CaterpillarReport:
 
 def _adjacency(s: EdgeSet) -> dict[int, list[int]]:
     adj: dict[int, list[int]] = {}
-    for e in sorted(s):
-        adj.setdefault(e.a, []).append(e.b)
-        adj.setdefault(e.b, []).append(e.a)
+    for a, b in s:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
     return adj
 
 
 def _distances(adj: dict[int, list[int]], u: int) -> dict[int, int]:
-    """Breadth-first distances from u to every vertex reachable from it."""
+    """Breadth-first distances from u to every vertex reachable from it, nearest first."""
     dist = {u: 0}
-    frontier = [u]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        frontier = nxt
+    queue = [u]
+    for v in queue:
+        d = dist[v] + 1
+        for w in adj[v]:
+            if w not in dist:
+                dist[w] = d
+                queue.append(w)
     return dist
-
-
-def _boundary_steps(s: EdgeSet, ctx: Context) -> set[int]:
-    """The positions p whose boundary edge [p, p + 1 mod 2m] lies in s."""
-    return {e.a if e.b - e.a == 1 else e.b for e in s if is_boundary(e, ctx)}
 
 
 def validate_structure(s: EdgeSet, ctx: Context) -> CaterpillarReport:
     """Shape-check an edge set: tree, noncrossing, caterpillar, boundary spine."""
-    edges = sorted(s)
-    if not edges:
+    if not s:
         raise ValueError("cannot validate an empty edge set")
-    for e in edges:
-        ctx.check_vertex(e.a)
-        ctx.check_vertex(e.b)
-
     adj = _adjacency(s)
-    vertices = sorted(adj)
+    n = ctx.n
+    if min(adj) < 0 or max(adj) >= n:
+        for e in sorted(s):
+            ctx.check_vertex(e.a)
+            ctx.check_vertex(e.b)
 
     # Tree: connected on the touched vertices with |E| = |V| - 1.
-    dist = _distances(adj, vertices[0])
-    is_tree = len(dist) == len(vertices) and len(edges) == len(vertices) - 1
+    dist = _distances(adj, next(iter(adj)))
+    is_tree = len(dist) == len(adj) == len(s) + 1
 
-    is_noncrossing = not _any_crossing(edges, ctx)
+    is_noncrossing = not _any_crossing(s, ctx)
 
     is_caterpillar = False
     boundary_spine: tuple[int, ...] | None = None
     if is_tree:
-        # Removing all leaves of a tree leaves a tree; it is a path (or empty)
-        # exactly when no remaining vertex keeps three non-leaf neighbours.
-        leaves = {v for v in vertices if len(adj[v]) == 1}
-        is_caterpillar = all(
-            sum(1 for w in adj[v] if w not in leaves) <= 2 for v in vertices if v not in leaves
-        )
+        # The vertex farthest from any start ends a longest path, and the
+        # first search reached such a vertex last, so a second search from it
+        # reads off the diameter.
+        diameter = max(_distances(adj, next(reversed(dist))).values())
 
-        # The vertex farthest from any start ends a longest path, so a second
-        # search from it reads off the diameter. A path of boundary edges
-        # steps around the circle in one direction, so the all-boundary
-        # longest paths are the windows of `diameter` consecutive steps.
-        n = ctx.n
-        diameter = max(_distances(adj, max(dist, key=dist.__getitem__)).values())
+        # Removing all leaves of a tree leaves a tree whose longest paths are
+        # those of the tree without their two end leaves. It is a path (the
+        # tree is a caterpillar) exactly when it has just the diameter - 1
+        # vertices of one such path.
+        leaves = list(map(len, adj.values())).count(1)
+        is_caterpillar = len(adj) - leaves == diameter - 1
+
+        # A path of boundary edges steps around the circle in one direction,
+        # so the all-boundary longest paths are the windows of `diameter`
+        # consecutive steps. A run of steps is a path of the tree, no longer
+        # than the diameter, so each window is a whole run and starts one.
         steps = _boundary_steps(s, ctx)
-        spines = [
-            tuple((p + i) % n for i in range(diameter + 1))
-            for p in steps
-            if diameter >= 2 and all((p + i) % n in steps for i in range(diameter))
-        ]
-        boundary_spine = min((min(path, path[::-1]) for path in spines), default=None)
+        readings = []
+        for p in steps:
+            if diameter >= 2 and (p - 1) % n not in steps:
+                path = [v % n for v in range(p, p + diameter + 1)]
+                if steps.issuperset(path[:-1]):
+                    readings.append(min(path, path[::-1]))
+        boundary_spine = tuple(min(readings)) if readings else None
 
     return CaterpillarReport(
         is_tree=is_tree,
@@ -230,10 +227,17 @@ def _boundary_run(s: EdgeSet, ctx: Context) -> tuple[int, int] | None:
     return (starts[0], len(positions)) if len(starts) == 1 else None
 
 
+def _by_odd_direction(s: EdgeSet, ctx: Context) -> dict[int, Edge] | None:
+    """Each edge of s by its direction, when s uses every odd direction exactly once and no other; else None."""
+    by_direction = {direction(e, ctx): e for e in s}
+    if len(s) != ctx.m or by_direction.keys() != set(range(1, ctx.n, 2)):
+        return None
+    return by_direction
+
+
 def check_one_per_odd_direction(blockers: Iterable[EdgeSet], ctx: Context) -> bool:
     """True iff every given edge set uses each odd direction exactly once."""
-    want = list(range(1, ctx.n, 2))
-    return all(sorted(direction(e, ctx) for e in b) == want for b in blockers)
+    return all(_by_odd_direction(b, ctx) is not None for b in blockers)
 
 
 def check_boundary_edges_consecutive(blockers: Iterable[EdgeSet], ctx: Context) -> bool:
@@ -256,18 +260,18 @@ def direction_sweep_check(s: EdgeSet, ctx: Context) -> bool:
     but computed without the generator.
     """
     n, m = ctx.n, ctx.m
-    if not check_one_per_odd_direction([s], ctx):
+    by_direction = _by_odd_direction(s, ctx)
+    if by_direction is None:
         return False
-    by_direction = {direction(e, ctx): e for e in s}
-
     run = _boundary_run(s, ctx)
     if run is None:
         return False
     v0, t = run
     bound = t - 1
     for j in range(1, m - t + 1):
-        e = by_direction[(2 * (v0 + t + j) - 1) % n]
-        low, high = sorted(((e.a - v0) % n, (e.b - v0) % n))
+        a, b = by_direction[(2 * (v0 + t + j) - 1) % n]
+        x, y = (a - v0) % n, (b - v0) % n
+        low, high = (x, y) if x < y else (y, x)
         if not (0 < low <= bound and t < high):
             return False
         bound = low

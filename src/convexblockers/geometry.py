@@ -18,8 +18,7 @@ import collections
 import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable
 
 __all__ = [
     "Context",
@@ -80,6 +79,19 @@ def _edge(a: int, b: int) -> Edge:
 EdgeSet = frozenset[Edge]
 
 
+class _EdgeIndex(dict):
+    """Edge -> dense index over the given edge table; a missing key raises ValueError naming it."""
+
+    __slots__ = ("m",)
+
+    def __init__(self, m: int, edges: Iterable[Edge]) -> None:
+        super().__init__((e, i) for i, e in enumerate(edges))
+        self.m = m
+
+    def __missing__(self, e: Edge) -> int:
+        raise ValueError(f"edge {e} is not an edge of the 2m-gon with m={self.m}")
+
+
 @dataclass(frozen=True)
 class Context:
     """The complete convex geometric graph on n = 2m cyclically labeled vertices.
@@ -98,7 +110,7 @@ class Context:
         if self.num_edges > sys.maxsize:
             raise ValueError(f"half-order m={self.m} is too large: the 2m-gon has more than {sys.maxsize} edges")
 
-    @property
+    @cached_property
     def n(self) -> int:
         return 2 * self.m
 
@@ -117,14 +129,12 @@ class Context:
         return tuple(_edge(a, b) for a in range(n) for b in range(a + 1, n))
 
     @cached_property
-    def _index_of(self) -> dict[Edge, int]:
-        return {e: i for i, e in enumerate(self.all_edges)}
+    def edge_index(self) -> Callable[[Edge], int]:
+        """The dense index of an edge: ctx.edge_index(e), at the speed of a dict lookup.
 
-    def edge_index(self, e: Edge) -> int:
-        try:
-            return self._index_of[e]
-        except KeyError:
-            raise ValueError(f"edge {e} is not an edge of the 2m-gon with m={self.m}") from None
+        Raises ValueError for a pair that is not an edge of the 2m-gon.
+        """
+        return _EdgeIndex(self.m, self.all_edges).__getitem__
 
     def edge_at(self, index: int) -> Edge:
         if not 0 <= index < self.num_edges:
@@ -160,8 +170,9 @@ def order(e: Edge, ctx: Context) -> int:
 
     The parity of the order always equals the parity of the direction.
     """
-    gap = (e.b - e.a) % ctx.n
-    return min(gap, ctx.n - gap)
+    n = ctx.n
+    gap = (e.b - e.a) % n
+    return gap if 2 * gap <= n else n - gap
 
 
 def is_boundary(e: Edge, ctx: Context) -> bool:
@@ -169,25 +180,56 @@ def is_boundary(e: Edge, ctx: Context) -> bool:
     return order(e, ctx) == 1
 
 
+def _boundary_steps(s: Iterable[Edge], ctx: Context) -> set[int]:
+    """The positions p whose boundary edge [p, p + 1 mod 2m] lies in s."""
+    return {e.a if e.b - e.a == 1 else e.b for e in s if is_boundary(e, ctx)}
+
+
 def crosses(e1: Edge, e2: Edge, ctx: Context) -> bool:
     """True iff the two chords cross in the open interior of the polygon.
 
-    Edges sharing an endpoint never cross. For four distinct endpoints the
-    chords cross exactly when the endpoints of e2 interleave with those of e1
-    around the circle; this is pure modular arithmetic, no coordinates.
+    With every label in 0..2m-1, the chords [a, b] and [c, d] cross exactly
+    when their endpoints interleave around the circle: a < c < b < d, or the
+    same with the chords swapped. A shared endpoint breaks one of the strict
+    inequalities, so such chords never cross. This is pure arithmetic on
+    labels, no coordinates.
+
+    A label outside 0..2m-1 is read mod 2m, as arcs measured from e1.a: the
+    chords cross when their four labels differ and exactly one endpoint of e2
+    lies strictly inside the arc from e1.a to e1.b.
     """
-    if len({e1.a, e1.b, e2.a, e2.b}) < 4:
-        return False
     n = ctx.n
-    span = (e1.b - e1.a) % n
-    in_arc_a = 0 < (e2.a - e1.a) % n < span
-    in_arc_b = 0 < (e2.b - e1.a) % n < span
-    return in_arc_a != in_arc_b
+    (a, b), (c, d) = e1, e2
+    if 0 <= a < b < n and 0 <= c < d < n:
+        return a < c < b < d or c < a < d < b
+    if a == c or a == d or b == c or b == d:
+        return False
+    span = (b - a) % n
+    return (0 < (c - a) % n < span) != (0 < (d - a) % n < span)
+
+
+def _left_end_then_longer(e: Edge) -> tuple[int, int]:
+    return e.a, -e.b
 
 
 def _any_crossing(edges: Iterable[Edge], ctx: Context) -> bool:
-    """True iff some two of the given edges cross."""
-    return any(crosses(e, f, ctx) for e, f in combinations(edges, 2))
+    """True iff some two of the given edges cross; every label must lie in 0..2m-1.
+
+    One sweep over the chords by left end, the longer first at a shared left
+    end, keeps a stack of open chords: those whose right end lies beyond the
+    current left end, each nested in the one below it. A chord closed there
+    can cross no later chord, and a chord that crosses an open one also
+    crosses the top one, the innermost, so crosses() is asked about that pair
+    alone. A chord that crosses none nests inside the top one and is pushed.
+    """
+    open_chords: list[Edge] = []
+    for e in sorted(edges, key=_left_end_then_longer):
+        while open_chords and open_chords[-1].b <= e.a:
+            open_chords.pop()
+        if open_chords and crosses(open_chords[-1], e, ctx):
+            return True
+        open_chords.append(e)
+    return False
 
 
 def rotate(s: Iterable[Edge], r: int, ctx: Context) -> EdgeSet:

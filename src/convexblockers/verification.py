@@ -69,13 +69,9 @@ def edge_set_system(family: Iterable[EdgeSet], ctx: Context) -> SetSystem:
     sorted indices list the edges as sorted() does. Raises ValueError, as
     Context.edge_index does, for an edge that is not an edge of the 2m-gon.
     """
-    index_of = ctx._index_of.__getitem__
+    index = ctx.edge_index
     pack = bytes if ctx.num_edges <= 256 else tuple
-    try:
-        sets = tuple(pack(sorted(map(index_of, s))) for s in family)
-    except KeyError as exc:
-        ctx.edge_index(exc.args[0])  # raises the ValueError that names the edge
-        raise
+    sets = tuple(pack(sorted(map(index, s))) for s in family)
     return SetSystem(ground_size=ctx.num_edges, sets=sets)
 
 

@@ -9,11 +9,12 @@ compare directly. The exception is reference_min_hitting_sets: a frozen
 copy of an earlier form of the package's solver, kept to pin that a
 faster form visits the same nodes and returns the same result.
 
-Three plain-tuple helpers state the paper's small facts over ints, tuples
-and sets: boundary_paths (the walks along the boundary circuit),
-odd_position_pairs (the matching in a path's odd-position edges) and
-hits_all (does a set meet every member of a family). A package edge set
-compares equal to a frozenset of these pairs, because an Edge is a tuple.
+Plain-tuple helpers state the paper's small facts over ints, tuples and
+sets: boundary_paths (the walks along the boundary circuit),
+odd_position_pairs (the matching in a path's odd-position edges), hits_all
+(does a set meet every member of a family), and the two blocker profiles,
+one_per_odd_direction and one_boundary_run. A package edge set compares
+equal to a frozenset of these pairs, because an Edge is a tuple.
 """
 
 from __future__ import annotations
@@ -105,6 +106,28 @@ def odd_position_pairs(vertices: tuple[int, ...]) -> frozenset[tuple[int, int]]:
 def hits_all(candidate, family) -> bool:
     """Does the candidate set share an element with every member of the family?"""
     return all(not candidate.isdisjoint(member) for member in family)
+
+
+def one_per_odd_direction(edges, n: int) -> bool:
+    """Are the directions (a + b) mod n of the edges, sorted, exactly the odd residues 1, 3, ..., n - 1?"""
+    return sorted((a + b) % n for a, b in edges) == list(range(1, n, 2))
+
+
+def one_boundary_run(edges, n: int) -> bool:
+    """Do the boundary edges form one circular run of at least 2 edges?
+
+    Marks each position i whose boundary edge {i, i + 1 mod n} is present,
+    reads the marks around the circle from an unmarked position, and asks
+    for exactly one block of marks, at least two long. With every position
+    marked the boundary edges close a cycle, which is no run.
+    """
+    present = {frozenset(e) for e in edges}
+    marks = ["1" if frozenset((i, (i + 1) % n)) in present else "0" for i in range(n)]
+    if "0" not in marks:
+        return False
+    start = marks.index("0")
+    blocks = [b for b in "".join(marks[start:] + marks[:start]).split("0") if b]
+    return len(blocks) == 1 and len(blocks[0]) >= 2
 
 
 def brute_hamiltonian_paths(n: int) -> set[tuple[int, ...]]:

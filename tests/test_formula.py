@@ -1,5 +1,6 @@
 """Blocker formula realization, structure validation, direction sweep."""
 
+import functools
 import itertools
 
 import pytest
@@ -12,6 +13,7 @@ from convexblockers import (
     Edge,
     SimplePath,
     canonical_spm_family,
+    check_boundary_edges_consecutive,
     check_one_per_odd_direction,
     direction,
     direction_sweep_check,
@@ -26,7 +28,7 @@ from convexblockers import (
     rotate,
     validate_structure,
 )
-from oracles import hits_all, validate_structure_all_pairs
+from oracles import hits_all, one_boundary_run, one_per_odd_direction, validate_structure_all_pairs
 
 KNOWN_12GON_BLOCKER = "0-1,1-2,1-10,2-3,2-5,2-7"
 
@@ -293,6 +295,87 @@ def test_direction_sweep_accepts_exactly_formula_family():
             if len(s) < ctx.m:
                 continue
             assert direction_sweep_check(s, ctx) == (s in fam), format_edge_set(s)
+
+
+@functools.cache
+def formula_members(m: int) -> list:
+    return enumerate_formula_family(Context(m))
+
+
+@st.composite
+def one_edge_per_odd_class(draw):
+    """(m, edge set) at m = 6 or 7 with one edge from each odd direction class:
+    drawn class by class, or a formula member with up to two of its edges
+    swapped for parallel ones."""
+    m = draw(st.sampled_from([6, 7]))
+    ctx = Context(m)
+    classes = [sorted(ctx.direction_classes[k]) for k in range(1, ctx.n, 2)]
+    if draw(st.booleans()):
+        return m, frozenset(draw(st.sampled_from(c)) for c in classes)
+    member = draw(st.sampled_from(formula_members(m)))
+    chosen = sorted(member, key=lambda e: direction(e, ctx))
+    for k in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+        chosen[k] = draw(st.sampled_from(classes[k]))
+    return m, frozenset(chosen)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(one_edge_per_odd_class())
+def test_direction_sweep_accepts_exactly_formula_family_sampled(case):
+    # the walk over the whole product of the odd classes stops at m = 5
+    # (6^6 sets at m = 6, 7^7 at m = 7), so sample it, half the draws near
+    # a member
+    m, s = case
+    assert direction_sweep_check(s, Context(m)) == (s in set(formula_members(m))), format_edge_set(s)
+
+
+@st.composite
+def profiled_edge_sets(draw):
+    """(m, kind, vertex pairs) on the 2m-gon. A boundary run that wraps past
+    vertex 0, two runs, or a single boundary edge, each with up to three
+    random diagonals; one edge per odd direction class; or that plus a
+    second edge of one class (a repeated direction)."""
+    kind = draw(st.sampled_from(["wrap", "two_runs", "single", "odd", "repeat"]))
+    m = draw(st.integers(3, 7))
+    n = 2 * m
+    ctx = Context(m)
+    if kind in ("odd", "repeat"):
+        classes = [sorted(ctx.direction_classes[k]) for k in range(1, n, 2)]
+        pairs = {draw(st.sampled_from(c)) for c in classes}
+        if kind == "repeat":
+            extra = draw(st.sampled_from(classes[draw(st.integers(0, m - 1))]).filter(lambda e: e not in pairs))
+            pairs.add(extra)
+        return m, kind, pairs
+    if kind == "wrap":
+        length = draw(st.integers(2, n - 1))
+        start = draw(st.integers(n - length + 1, n - 1))
+        offsets = range(length)
+    elif kind == "two_runs":
+        first = draw(st.integers(1, n - 3))
+        gap = draw(st.integers(1, n - first - 2))
+        second = draw(st.integers(1, n - first - gap - 1))
+        start = draw(st.integers(0, n - 1))
+        offsets = [*range(first), *range(first + gap, first + gap + second)]
+    else:
+        start, offsets = draw(st.integers(0, n - 1)), [0]
+    steps = [(start + i) % n for i in offsets]
+    diagonals = [(a, b) for a, b in itertools.combinations(range(n), 2) if 1 < b - a < n - 1]
+    pairs = {(min(p, (p + 1) % n), max(p, (p + 1) % n)) for p in steps}
+    return m, kind, pairs | set(draw(st.lists(st.sampled_from(diagonals), max_size=3)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(profiled_edge_sets())
+def test_profile_checks_match_plain_oracles(case):
+    m, kind, pairs = case
+    n, ctx = 2 * m, Context(m)
+    if kind in ("wrap", "two_runs", "single"):
+        assert one_boundary_run(pairs, n) == (kind == "wrap")
+    if kind == "repeat":
+        assert not one_per_odd_direction(pairs, n)
+    s = frozenset(Edge(a, b) for a, b in pairs)
+    assert check_one_per_odd_direction([s], ctx) == one_per_odd_direction(pairs, n), format_edge_set(s)
+    assert check_boundary_edges_consecutive([s], ctx) == one_boundary_run(pairs, n), format_edge_set(s)
 
 
 def test_direction_sweep_negative_vectors():

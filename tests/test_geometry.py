@@ -6,6 +6,8 @@ import pickle
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from convexblockers import (
     Context,
@@ -24,6 +26,7 @@ from convexblockers import (
     reflect,
     rotate,
 )
+from convexblockers.geometry import _any_crossing
 from oracles import crosses_float
 
 
@@ -119,6 +122,27 @@ def test_crosses_against_float_oracle_exhaustive():
         for e1, e2 in itertools.combinations(ctx.all_edges, 2):
             want = crosses_float(tuple(e1), tuple(e2), ctx.n)
             assert crosses(e1, e2, ctx) == want, (m, e1, e2)
+
+
+@st.composite
+def chord_sets(draw):
+    """(m, chords) on the 2m-gon: 2..m+3 distinct chords, endpoints often shared."""
+    m = draw(st.integers(2, 8))
+    n = 2 * m
+    chord = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    pairs = draw(st.lists(chord, min_size=2, max_size=m + 3, unique_by=lambda e: frozenset(e)))
+    return m, pairs
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(chord_sets())
+@example((3, [(0, 3), (0, 5), (2, 4)]))  # a shorter chord at a shared left end crosses
+@example((3, [(2, 5), (0, 5), (1, 3)]))  # a shorter chord at a shared right end crosses
+@example((4, [(0, 7), (1, 6), (2, 5), (3, 4), (4, 6)]))  # nested, then out of the innermost
+def test_any_crossing_matches_some_pair_crossing(case):
+    m, pairs = case
+    want = any(crosses_float(e, f, 2 * m) for e, f in itertools.combinations(pairs, 2))
+    assert _any_crossing([Edge(a, b) for a, b in pairs], Context(m)) == want
 
 
 def test_crosses_frozen_examples():
