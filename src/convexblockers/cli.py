@@ -78,51 +78,42 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     def leaf(subparsers, name: str, handler, help: str) -> _Parser:
         p = subparsers.add_parser(name, help=help)
         p.set_defaults(handler=handler)
+        p.add_argument("--m", type=int)
         leaves.append(p)
         return p
 
     p = leaf(sub, "enumerate", _cmd_enumerate, "list simple perfect matchings or Hamiltonian paths")
-    p.add_argument("--m", type=int)
     p.add_argument("--family", choices=["spm", "shp"])
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--out")
 
     blockers = sub.add_parser("blockers", help="blocker families")
     bsub = blockers.add_subparsers(dest="blockers_command", required=True)
 
     p = leaf(bsub, "formula", _cmd_blockers_formula, "the explicit caterpillar family")
-    p.add_argument("--m", type=int)
     p.add_argument("--spec", help="single member as 'r:t:e1,e2,...'")
-    p.add_argument("--out")
 
     p = leaf(bsub, "exact", _cmd_blockers_exact, "all minimum blockers by exact search")
-    p.add_argument("--m", type=int)
     p.add_argument("--family", choices=["spm", "shp"])
     p.add_argument("--node-limit", type=int, default=SolverConfig().node_limit)
-    p.add_argument("--out")
 
     p = leaf(sub, "verify", _cmd_verify, "full certification for a range of m")
-    p.add_argument("--m", type=int)
     p.add_argument("--to", type=int)
     p.add_argument("--node-limit", type=int, default=SolverConfig().node_limit)
-    p.add_argument("--out")
 
     p = leaf(sub, "witness", _cmd_witness, "explicit avoidance paths")
     p.add_argument("kind", choices=list(_WITNESSES))
-    p.add_argument("--m", type=int)
     for name in dict.fromkeys(n for _, names in _WITNESSES.values() for n in names):
         p.add_argument("--" + name.replace("_", "-"), type=int)
-    p.add_argument("--out")
 
     p = leaf(sub, "render", _cmd_render, "draw layers to SVG")
-    p.add_argument("--m", type=int)
     p.add_argument("--layer", action="append", help="edge set layer 'a-b,c-d[:style]'", default=None)
     p.add_argument("--path", action="append", help="path layer 'v0,v1,...[:style]'", default=None)
     p.add_argument("--background", help="draw all edges first in this style")
     p.add_argument("--labels", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--angles", action="store_true", help="annotate edge directions")
-    p.add_argument("--out")
 
+    for q in leaves:
+        q.add_argument("--out")
     if defaults:
         _check_config(defaults, leaves)
         for q in [parser, *leaves]:

@@ -7,6 +7,18 @@ between its endpoints, and crossing is decided by arc interleaving. No
 coordinates appear anywhere in the model; only the SVG renderer maps labels
 to points.
 
+A label outside 0..2m-1 is read one of three ways, and each rule reads it
+the same way:
+- arithmetic reduces it mod 2m: direction, order, is_boundary, the boundary
+  steps, crosses, rotate and reflect (so crosses raises ValueError for a
+  chord whose ends are one vertex mod 2m, as Edge(a, a) does);
+- validators raise ValueError: Context.edge_index, Context.edge_at,
+  Context.check_vertex, formula.validate_structure and render.render_svg;
+- membership tests return False: is_noncrossing_path,
+  is_simple_hamiltonian_path and is_simple_perfect_matching.
+_any_crossing needs in-range labels, and each of its callers checks them
+first.
+
 Context(m) fixes the half-order m >= 2 and carries derived tables (canonical
 edge indexing, direction classes). All operations take the context explicitly
 and all public values are immutable.
@@ -156,7 +168,7 @@ class Context:
         """
         buckets: list[list[Edge]] = [[] for _ in range(self.n)]
         for e in self.all_edges:
-            buckets[(e.a + e.b) % self.n].append(e)
+            buckets[direction(e, self)].append(e)
         return tuple(frozenset(b) for b in buckets)
 
 
@@ -182,7 +194,8 @@ def is_boundary(e: Edge, ctx: Context) -> bool:
 
 def _boundary_steps(s: Iterable[Edge], ctx: Context) -> set[int]:
     """The positions p whose boundary edge [p, p + 1 mod 2m] lies in s."""
-    return {e.a if e.b - e.a == 1 else e.b for e in s if is_boundary(e, ctx)}
+    n = ctx.n
+    return {(e.a if (e.b - e.a) % n == 1 else e.b) % n for e in s if is_boundary(e, ctx)}
 
 
 def crosses(e1: Edge, e2: Edge, ctx: Context) -> bool:
@@ -193,19 +206,12 @@ def crosses(e1: Edge, e2: Edge, ctx: Context) -> bool:
     same with the chords swapped. A shared endpoint breaks one of the strict
     inequalities, so such chords never cross. This is pure arithmetic on
     labels, no coordinates.
-
-    A label outside 0..2m-1 is read mod 2m, as arcs measured from e1.a: the
-    chords cross when their four labels differ and exactly one endpoint of e2
-    lies strictly inside the arc from e1.a to e1.b.
     """
     n = ctx.n
     (a, b), (c, d) = e1, e2
     if 0 <= a < b < n and 0 <= c < d < n:
         return a < c < b < d or c < a < d < b
-    if a == c or a == d or b == c or b == d:
-        return False
-    span = (b - a) % n
-    return (0 < (c - a) % n < span) != (0 < (d - a) % n < span)
+    return crosses(_edge(a % n, b % n), _edge(c % n, d % n), ctx)
 
 
 def _left_end_then_longer(e: Edge) -> tuple[int, int]:

@@ -378,6 +378,36 @@ def test_profile_checks_match_plain_oracles(case):
     assert check_boundary_edges_consecutive([s], ctx) == one_boundary_run(pairs, n), format_edge_set(s)
 
 
+def _relabelings(s, n):
+    """s with one of its vertices v renamed v - n or v + n in every edge, each way."""
+    for v in sorted({u for e in s for u in e}):
+        for w in (v - n, v + n):
+            yield frozenset(Edge(*(w if u == v else u for u in e)) for e in s)
+
+
+def test_profile_checks_read_labels_mod_2m():
+    # a label off the polygon names the vertex it is mod 2m in every profile
+    # check, and validate_structure rejects it; the m-edge sets at m = 3
+    # add sets that the checks reject
+    cases = [(m, s) for m in range(3, 7) for s in formula_members(m)]
+    cases += [(3, frozenset(s)) for s in itertools.combinations(Context(3).all_edges, 3)]
+    for m, s in cases:
+        ctx = Context(m)
+        verdicts = (
+            direction_sweep_check(s, ctx),
+            check_one_per_odd_direction([s], ctx),
+            check_boundary_edges_consecutive([s], ctx),
+        )
+        for t in _relabelings(s, ctx.n):
+            assert (
+                direction_sweep_check(t, ctx),
+                check_one_per_odd_direction([t], ctx),
+                check_boundary_edges_consecutive([t], ctx),
+            ) == verdicts, (m, format_edge_set(t))
+            with pytest.raises(ValueError, match="out of range"):
+                validate_structure(t, ctx)
+
+
 def test_direction_sweep_negative_vectors():
     ctx5 = Context(5)
     # roots must weakly decrease while directions increase; here they grow

@@ -145,6 +145,28 @@ def test_any_crossing_matches_some_pair_crossing(case):
     assert _any_crossing([Edge(a, b) for a, b in pairs], Context(m)) == want
 
 
+def test_crosses_reads_labels_mod_2m():
+    # every chord with labels in -2m..4m-1 is read as its reduction mod 2m,
+    # from either side; one whose ends are one vertex mod 2m raises
+    for m in (2, 3, 4):
+        ctx = Context(m)
+        n = ctx.n
+        chords = [Edge(a, b) for a, b in itertools.combinations(range(-n, 2 * n), 2)]
+        reduced = {e: (e.a % n, e.b % n) for e in chords if (e.b - e.a) % n}
+        for e in chords:
+            if e not in reduced:
+                for f in (Edge(0, 1), e):
+                    with pytest.raises(ValueError, match="degenerate"):
+                        crosses(e, f, ctx)
+                    with pytest.raises(ValueError, match="degenerate"):
+                        crosses(f, e, ctx)
+        pairs = set(reduced.values())
+        want = {(x, y): crosses_float(x, y, n) for x in pairs for y in pairs}
+        for e in reduced:
+            for f in reduced:
+                assert crosses(e, f, ctx) == crosses(f, e, ctx) == want[reduced[e], reduced[f]], (m, e, f)
+
+
 def test_crosses_frozen_examples():
     ctx = Context(3)
     assert crosses(Edge(0, 3), Edge(1, 4), ctx)
