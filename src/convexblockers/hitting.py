@@ -46,6 +46,21 @@ members, deduplicates them, sorts them and takes their lengths, and sorted
 bytes do each of these as their index tuples do, so both kinds give the
 same order, packing, nodes and solutions; solutions are always tuples.
 
+Besides the members themselves, the set-up builds lists with one entry per
+member: the sorted distinct members, their weights and sizes, the search
+order, the members and weights in that order, and the packing's own index
+order. Only the two index orders hold fresh ints (about 36 bytes a member on
+64-bit CPython); every other entry refers to an existing object. The search
+order is deleted, with every list the search does not read, before the
+packing sorts its own, so at most one of them is alive at a time. Equal
+weights share one int: a geometric family has few distinct weights (16
+among the 589,824 members of H at m = 9), and an int per member would cost
+more than half of what the bytes member itself takes. The coverage masks
+are filled as bytearray rows, and each row is converted to its mask and
+freed before the next, so rows and masks never both fill memory. The
+set-up then peaks at about 75 bytes per member above the system, and a
+bytes member of H takes about 56.
+
 Search state lives in Python big-int bitmasks over member indices and
 packing positions, which keeps the per-node cost at a handful of word
 operations even for thousands of members. The root counts as one node
@@ -59,7 +74,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
 from operator import lt
 from typing import Sequence
 
@@ -146,13 +161,17 @@ def _coverage(members: Sequence[Sequence[int]], ground_size: int) -> list[int]:
     per occurrence would copy the int every time).
     """
     size = (len(members) + 7) // 8
-    rows = [bytearray(size) for _ in range(ground_size)]
+    rows: list[bytearray | int] = [bytearray(size) for _ in range(ground_size)]
     for i, s in enumerate(members):
         byte = i >> 3
         bit = 1 << (i & 7)
         for e in s:
             rows[e][byte] |= bit
-    return [int.from_bytes(row, "little") for row in rows]
+    # Each row becomes its mask in place and is freed before the next, so
+    # rows and masks never both fill memory.
+    for e, row in enumerate(rows):
+        rows[e] = int.from_bytes(row, "little")
+    return rows
 
 
 def _min_weight_packing(members: Sequence[Sequence[int]], weights: Sequence[int]) -> list[int]:
@@ -189,19 +208,26 @@ def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> S
     if not system.sets:
         raise ValueError("set system has no member sets")
 
-    # Deduplicate the members (identical ones are redundant for hitting) and
+    # Deduplicate the members (identical ones are redundant for hitting) by
+    # dropping adjacent repeats once sorted, with no hash set of them all, and
     # order them by (size, descending weight, tuple), a member's weight being
     # the sum of its elements' frequencies: the first unhit member is then a
     # smallest one whose elements hit the most other members. Both sorts are
     # stable and keyed by list lookups, with no Python call per member.
-    unique = sorted(set(system.sets))
+    unique = [s for s, _ in groupby(sorted(system.sets))]
     freq = Counter(chain.from_iterable(unique))
-    weight = [sum(map(freq.__getitem__, s)) for s in unique]
+    # Equal weights share one int (a family has few distinct weights).
+    shared: dict[int, int] = {}
+    weight = [shared.setdefault(w, w) for w in (sum(map(freq.__getitem__, s)) for s in unique)]
     order = sorted(range(len(unique)), key=weight.__getitem__, reverse=True)
     order.sort(key=list(map(len, unique)).__getitem__)
     members = list(map(unique.__getitem__, order))
-    packing = _min_weight_packing(members, list(map(weight.__getitem__, order)))
-    del unique, weight, order  # member-long lists the search would otherwise keep alive
+    weights = list(map(weight.__getitem__, order))
+    # The packing reads only members and weights, and sorts an index list of
+    # its own: free the search order and the rest first.
+    del unique, weight, order, shared
+    packing = _min_weight_packing(members, weights)
+    del weights
     k = len(members)
     full = (1 << k) - 1
     cov = _coverage(members, system.ground_size)
@@ -209,7 +235,9 @@ def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> S
     # keep[e]: every packing position but the one whose member holds e
     # (packed members are disjoint), so unhit_slots & keep[e] is what stays
     # unhit once e is taken. reach[j]: the members that meet the member at
-    # packing position j. bits[e]: the bit of e in a ban mask.
+    # packing position j. bits[e]: the bit of e in a ban mask, built only for
+    # an element some member holds (the search branches on no other), so the
+    # bits cost memory for the members, not the square of the ground size.
     keep = [-1] * system.ground_size
     reach = []
     for j, i in enumerate(packing):
@@ -218,7 +246,7 @@ def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> S
             keep[e] = ~(1 << j)
             meets |= cov[e]
         reach.append(meets)
-    bits = [1 << e for e in range(system.ground_size)]
+    bits = [1 << e if e in freq else 0 for e in range(system.ground_size)]
     # branches[i]: the elements of member i, most frequent first and ties by
     # index, sorted the first time the search branches on member i.
     branches: list[list[int] | None] = [None] * k

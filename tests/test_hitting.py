@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -22,6 +23,17 @@ from convexblockers import (
 )
 from convexblockers.hitting import _min_weight_packing
 from oracles import naive_min_hitting_sets, random_set_system, reference_min_hitting_sets
+
+
+def _traced_peak(call):
+    """call()'s result and the tracemalloc peak above the traced size before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def _solve(ground, sets, **cfg):
@@ -173,6 +185,15 @@ def test_solver_config_rejects_negative_node_limit():
     assert (res.status, res.nodes) == ("incomplete", 1)
 
 
+def test_memory_follows_the_members_not_the_ground():
+    # Two members over a ground of 40,000: a ban bit for every element of the
+    # ground would take about ground**2 / 16 bytes (104 MB traced).
+    system = SetSystem(ground_size=40_000, sets=((0, 1), (39_999,)))
+    res, peak = _traced_peak(lambda: min_hitting_sets(system))
+    assert res.solutions == ((0, 39_999), (1, 39_999))
+    assert peak < 16_000_000
+
+
 # ------------------------------------- geometric families, planted packings
 
 # SHA-256 of the solver's solution list, as compact JSON: m = 2..7 computed
@@ -222,6 +243,16 @@ def test_family_system_holds_bytes_members(m, family):
     members = family_system(family, Context(m)).sets
     assert all(type(s) is bytes for s in members)
     assert list(map(list, members)) == list(map(list, _family_system(m, family).sets))
+
+
+def test_setup_memory_per_member():
+    # The set-up alone (node_limit=0 stops before the first node) holds at
+    # most one list of fresh ints per member at a time: about 75 bytes per
+    # member of H, against about 160 with a hash set for the deduplication,
+    # an int per weight and both index orders alive at once.
+    system = family_system("shp", Context(7))
+    _, peak = _traced_peak(lambda: min_hitting_sets(system, SolverConfig(node_limit=0)))
+    assert peak <= 100 * len(system.sets)
 
 
 @pytest.mark.parametrize("family", ["spm", "shp"])
