@@ -46,20 +46,18 @@ members, deduplicates them, sorts them and takes their lengths, and sorted
 bytes do each of these as their index tuples do, so both kinds give the
 same order, packing, nodes and solutions; solutions are always tuples.
 
-Besides the members themselves, the set-up builds lists with one entry per
-member: the sorted distinct members, their weights and sizes, the search
-order, the members and weights in that order, and the packing's own index
-order. Only the two index orders hold fresh ints (about 36 bytes a member on
-64-bit CPython); every other entry refers to an existing object. The search
-order is deleted, with every list the search does not read, before the
-packing sorts its own, so at most one of them is alive at a time. Equal
-weights share one int: a geometric family has few distinct weights (16
-among the 589,824 members of H at m = 9), and an int per member would cost
-more than half of what the bytes member itself takes. The coverage masks
-are filled as bytearray rows, and each row is converted to its mask and
-freed before the next, so rows and masks never both fill memory. The
-set-up then peaks at about 75 bytes per member above the system, and a
-bytes member of H takes about 56.
+Besides the members themselves, the set-up holds three lists with one
+entry per member: the distinct members, sorted in place into the search
+order; their weights, which the same sorts keep in step; and a copy of the
+members in packing order, freed once the packing (of members, not
+indices) is taken. The search adds its cache of branch orders. No list of
+member indices is built: its entries would be fresh ints, about 36 bytes
+a member on 64-bit CPython. Equal weights share one int: a geometric
+family has few (16 among the 589,824 members of H at m = 9). The coverage
+masks are filled as bytearray rows, only for elements some member holds,
+and each row is converted to its mask and freed before the next. The
+set-up then peaks at about 42 bytes per member above the system; a bytes
+member of H takes 56.
 
 Search state lives in Python big-int bitmasks over member indices and
 packing positions, which keeps the per-node cost at a handful of word
@@ -74,6 +72,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, groupby
 from operator import lt
 from typing import Sequence
@@ -152,16 +151,19 @@ class SolverResult:
     nodes: int
 
 
-def _coverage(members: Sequence[Sequence[int]], ground_size: int) -> list[int]:
+def _coverage(members: Sequence[Sequence[int]], ground_size: int, held: Sequence[int]) -> list[int]:
     """For each element 0..ground_size-1, the bitmask of the member indices
-    that contain it.
+    that contain it; held lists the elements some member holds, and every
+    other element gets 0.
 
     Each mask is filled as a little-endian bytearray and converted once, so
     the build is linear in the total member size (OR-ing into a growing int
     per occurrence would copy the int every time).
     """
     size = (len(members) + 7) // 8
-    rows: list[bytearray | int] = [bytearray(size) for _ in range(ground_size)]
+    rows: list[bytearray | int] = [0] * ground_size
+    for e in held:
+        rows[e] = bytearray(size)
     for i, s in enumerate(members):
         byte = i >> 3
         bit = 1 << (i & 7)
@@ -169,26 +171,9 @@ def _coverage(members: Sequence[Sequence[int]], ground_size: int) -> list[int]:
             rows[e][byte] |= bit
     # Each row becomes its mask in place and is freed before the next, so
     # rows and masks never both fill memory.
-    for e, row in enumerate(rows):
-        rows[e] = int.from_bytes(row, "little")
+    for e in held:
+        rows[e] = int.from_bytes(rows[e], "little")
     return rows
-
-
-def _min_weight_packing(members: Sequence[Sequence[int]], weights: Sequence[int]) -> list[int]:
-    """Pairwise-disjoint member indices, taken greedily by (weight, index).
-
-    A member's weight is the sum of its elements' frequencies: members made
-    of rarely used elements block few others, so taking them first tends to
-    pack more members than a scan in input order.
-    """
-    used: set[int] = set()
-    packing = []
-    # sorted() is stable, so equal weights keep index order.
-    for i in sorted(range(len(members)), key=weights.__getitem__):
-        if used.isdisjoint(members[i]):
-            used.update(members[i])
-            packing.append(i)
-    return packing
 
 
 def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> SolverResult:
@@ -212,25 +197,36 @@ def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> S
     # dropping adjacent repeats once sorted, with no hash set of them all, and
     # order them by (size, descending weight, tuple), a member's weight being
     # the sum of its elements' frequencies: the first unhit member is then a
-    # smallest one whose elements hit the most other members. Both sorts are
-    # stable and keyed by list lookups, with no Python call per member.
-    unique = [s for s, _ in groupby(sorted(system.sets))]
-    freq = Counter(chain.from_iterable(unique))
+    # smallest one whose elements hit the most other members.
+    members = [s for s, _ in groupby(sorted(system.sets))]
+    freq = Counter(chain.from_iterable(members))
+    held = sorted(freq)
     # Equal weights share one int (a family has few distinct weights).
     shared: dict[int, int] = {}
-    weight = [shared.setdefault(w, w) for w in (sum(map(freq.__getitem__, s)) for s in unique)]
-    order = sorted(range(len(unique)), key=weight.__getitem__, reverse=True)
-    order.sort(key=list(map(len, unique)).__getitem__)
-    members = list(map(unique.__getitem__, order))
-    weights = list(map(weight.__getitem__, order))
-    # The packing reads only members and weights, and sorts an index list of
-    # its own: free the search order and the rest first.
-    del unique, weight, order, shared
-    packing = _min_weight_packing(members, weights)
-    del weights
+    weights = [shared.setdefault(w, w) for w in (sum(map(freq.__getitem__, s)) for s in members)]
+    del shared
+    # Stable sorts, in place, over parallel key lists: CPython's list.sort
+    # computes every key, in list order, before it moves an item, so a key
+    # that takes the next item of a parallel list gives each member its own
+    # weight or size. Sorting the weights by the same keys keeps them in step.
+    members.sort(key=partial(next, iter(weights)), reverse=True)
+    weights.sort(reverse=True)
+    weights.sort(key=partial(next, map(len, members)))
+    members.sort(key=len)
+
+    # Min-weight packing: pairwise-disjoint members taken greedily by (weight,
+    # search order). Members of rarely used elements block few others, so
+    # taking them first tends to pack more members than a scan in search order.
+    used: set[int] = set()
+    packing = []
+    for s in sorted(members, key=partial(next, iter(weights))):
+        if used.isdisjoint(s):
+            used.update(s)
+            packing.append(s)
+    del weights, used
     k = len(members)
     full = (1 << k) - 1
-    cov = _coverage(members, system.ground_size)
+    cov = _coverage(members, system.ground_size, held)
 
     # keep[e]: every packing position but the one whose member holds e
     # (packed members are disjoint), so unhit_slots & keep[e] is what stays
@@ -240,24 +236,26 @@ def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> S
     # bits cost memory for the members, not the square of the ground size.
     keep = [-1] * system.ground_size
     reach = []
-    for j, i in enumerate(packing):
+    for j, s in enumerate(packing):
         meets = 0
-        for e in members[i]:
+        for e in s:
             keep[e] = ~(1 << j)
             meets |= cov[e]
         reach.append(meets)
     bits = [1 << e if e in freq else 0 for e in range(system.ground_size)]
     # branches[i]: the elements of member i, most frequent first and ties by
-    # index, sorted the first time the search branches on member i.
-    branches: list[list[int] | None] = [None] * k
+    # index, in the member's own kind, sorted the first time the search
+    # branches on member i.
+    branches: list[Sequence[int] | None] = [None] * k
 
-    # Greedy upper bound: repeatedly take the element covering most unhit members.
+    # Greedy upper bound: repeatedly take the element covering most unhit
+    # members, the first in index order on ties.
+    masks = list(map(cov.__getitem__, held))
     hit = 0
     greedy_size = 0
     while hit != full:
-        rest = full ^ hit
-        best_e = max(range(system.ground_size), key=lambda e: (cov[e] & rest).bit_count())
-        hit |= cov[best_e]
+        counts = list(map(int.bit_count, map((full ^ hit).__and__, masks)))
+        hit |= masks[counts.index(max(counts))]
         greedy_size += 1
 
     best = greedy_size
@@ -282,7 +280,8 @@ def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> S
         branch = branches[i]
         if branch is None:
             # members[i] is in index order and the sort is stable.
-            branch = branches[i] = sorted(members[i], key=freq.__getitem__, reverse=True)
+            member = members[i]
+            branch = branches[i] = type(member)(sorted(member, key=freq.__getitem__, reverse=True))
         # The children are at depth + 1 <= best: the parent kept this node
         # with depth + bound <= best and bound >= 1, and best has dropped
         # since only to the sizes of solutions below it.

@@ -21,7 +21,6 @@ from convexblockers import (
     min_hitting_sets,
     parse_edge_set,
 )
-from convexblockers.hitting import _min_weight_packing
 from oracles import naive_min_hitting_sets, random_set_system, reference_min_hitting_sets
 
 
@@ -194,6 +193,21 @@ def test_memory_follows_the_members_not_the_ground():
     assert peak < 16_000_000
 
 
+def test_setup_follows_the_held_elements_not_the_ground():
+    # 4000 three-element members over elements 0..99: a coverage row for
+    # every element of the ground and a greedy scan of all of them took
+    # about 12 s and 22 MB traced with a ground of 40,000, against 0.05 s
+    # and 0.3 MB with a ground of 100.
+    rng = random.Random(1)
+    sets = tuple(tuple(sorted(rng.sample(range(100), 3))) for _ in range(4000))
+    config = SolverConfig(node_limit=0)
+    want = min_hitting_sets(SetSystem(100, sets), config)
+    system = SetSystem(40_000, sets)
+    res, peak = _traced_peak(lambda: min_hitting_sets(system, config))
+    assert res == want
+    assert peak < 2_000_000
+
+
 # ------------------------------------- geometric families, planted packings
 
 # SHA-256 of the solver's solution list, as compact JSON: m = 2..7 computed
@@ -246,13 +260,17 @@ def test_family_system_holds_bytes_members(m, family):
 
 
 def test_setup_memory_per_member():
-    # The set-up alone (node_limit=0 stops before the first node) holds at
-    # most one list of fresh ints per member at a time: about 75 bytes per
-    # member of H, against about 160 with a hash set for the deduplication,
-    # an int per weight and both index orders alive at once.
+    # The set-up alone (node_limit=0 stops before the first node) sorts one
+    # list of the members in place and builds no list of member indices:
+    # about 41 bytes per member of H, against about 75 with two index orders
+    # of fresh ints, and about 160 with a hash set for the deduplication, an
+    # int per weight and both index orders alive at once. The full solve adds
+    # the search's cache of branch orders, each in its member's own kind.
     system = family_system("shp", Context(7))
     _, peak = _traced_peak(lambda: min_hitting_sets(system, SolverConfig(node_limit=0)))
-    assert peak <= 100 * len(system.sets)
+    assert peak <= 50 * len(system.sets)
+    _, peak = _traced_peak(lambda: min_hitting_sets(system))
+    assert peak <= 55 * len(system.sets)
 
 
 @pytest.mark.parametrize("family", ["spm", "shp"])
@@ -267,14 +285,20 @@ def test_golden_solutions(m, family):
 
 
 def _packing(sets):
-    """The solver's min-weight packing, on the members as the solver orders them:
-    by (size, descending weight, tuple), a weight being the sum of the
-    member's element frequencies."""
+    """The solver's min-weight packing: pairwise-disjoint members taken
+    greedily by (weight, search order), a weight being the sum of the
+    member's element frequencies. The search order is (size, descending
+    weight, tuple), so among equal weights it is (size, tuple)."""
     unique = {tuple(sorted(set(s))) for s in sets}
     freq = Counter(e for s in unique for e in s)
     weight = {s: sum(freq[e] for e in s) for s in unique}
-    members = sorted(unique, key=lambda s: (len(s), -weight[s], s))
-    return _min_weight_packing(members, [weight[s] for s in members])
+    used = set()
+    packing = []
+    for s in sorted(unique, key=lambda s: (weight[s], len(s), s)):
+        if used.isdisjoint(s):
+            used.update(s)
+            packing.append(s)
+    return packing
 
 
 @st.composite
