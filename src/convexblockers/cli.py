@@ -20,7 +20,7 @@ from dataclasses import asdict
 from typing import Iterable, Sequence
 
 from .enumeration import enumerate_shp, enumerate_spm
-from .formula import iter_blocker_specs, parse_blocker_spec, realize
+from .formula import _spec_of, enumerate_formula_family, parse_blocker_spec, realize
 from .geometry import Context, Edge, SimplePath, format_edge_set, is_simple_hamiltonian_path, parse_edge_set
 from .hitting import SolverConfig, min_hitting_sets
 from .render import Layer, render_svg
@@ -169,12 +169,9 @@ def _cmd_blockers_formula(args: argparse.Namespace) -> int:
     if args.spec is not None:
         lines = [format_edge_set(realize(parse_blocker_spec(args.spec), ctx))]
     else:
-        first_spec: dict[frozenset, object] = {}
-        for spec in iter_blocker_specs(ctx):
-            first_spec.setdefault(realize(spec, ctx), spec)
         lines = (
-            canonical_json({"m": ctx.m, "spec": asdict(first_spec[s]), "edges": sorted(s)})
-            for s in sorted(first_spec, key=sorted)
+            canonical_json({"m": ctx.m, "spec": asdict(_spec_of(s, ctx)), "edges": sorted(s)})
+            for s in enumerate_formula_family(ctx)
         )
     with _open_out(args.out) as out:
         _emit(lines, out)

@@ -101,6 +101,8 @@ def enumerate_shp(ctx: Context) -> Iterator[SimplePath]:
     next to the offset table.
     """
     n = ctx.n
+    if n > 256:
+        raise ValueError(f"H is enumerated with vertex offsets as bytes, so 2m <= 256; got m={ctx.m}")
     by_end = _offsets_by_end(n)
     offsets = bytes(range(n))
     # SimplePath(t) with a tuple t stores t as is; skip its __init__ and

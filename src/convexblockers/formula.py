@@ -14,13 +14,13 @@ r afterwards. The edge in overall position p has direction 2p-1+2r: the family
 uses every odd direction exactly once, and consecutive edges advance the
 direction by 2.
 
-The structural checks are deliberately independent of the generator: they
-look only at an edge set (tree shape, crossings, caterpillar spine, root
-monotonicity, one edge per odd direction, one boundary run) so they can
-judge solver output that never saw the formula. Every shape predicate lives
-here; the run check and the spine both read the boundary edges as the
-positions they step from (geometry._boundary_steps), and the direction sweep
-reads every other edge as offsets from the first vertex of that run.
+One generator, realize, makes a member from its spec; one reader, _spec_of,
+reads the spec back off an edge set. Every shape check lives here and never
+calls the generator: each looks only at an edge set (tree, crossings,
+caterpillar spine, root monotonicity, one edge per odd direction, one boundary
+run), so it can judge solver output that never saw the formula. The run check
+and the spine read boundary edges as the positions they step from
+(geometry._boundary_steps); the reader reads each diagonal from the run start.
 """
 
 from __future__ import annotations
@@ -86,11 +86,10 @@ def _validate(spec: BlockerSpec, ctx: Context) -> None:
     eps = spec.epsilons
     if len(eps) != m - spec.t:
         raise ValueError(f"expected {m - spec.t} offsets for t={spec.t}, got {len(eps)}")
-    if eps:
-        if not all(eps[i] < eps[i + 1] for i in range(len(eps) - 1)):
-            raise ValueError(f"offsets must be strictly increasing, got {eps}")
-        if eps[0] < 1 or eps[-1] > m - 2:
-            raise ValueError(f"offsets must lie in 1..{m - 2}, got {eps}")
+    if any(a >= b for a, b in zip(eps, eps[1:])):
+        raise ValueError(f"offsets must be strictly increasing, got {eps}")
+    if eps and (eps[0] < 1 or eps[-1] > m - 2):
+        raise ValueError(f"offsets must lie in 1..{m - 2}, got {eps}")
 
 
 def realize(spec: BlockerSpec, ctx: Context) -> EdgeSet:
@@ -118,8 +117,7 @@ def iter_blocker_specs(ctx: Context) -> Iterator[BlockerSpec]:
 
 def enumerate_formula_family(ctx: Context) -> list[EdgeSet]:
     """All realized members, deduplicated and canonically sorted."""
-    family = {realize(spec, ctx) for spec in iter_blocker_specs(ctx)}
-    return sorted(family, key=lambda s: tuple(sorted(s)))
+    return sorted({realize(spec, ctx) for spec in iter_blocker_specs(ctx)}, key=sorted)
 
 
 @dataclass(frozen=True)
@@ -259,20 +257,24 @@ def direction_sweep_check(s: EdgeSet, ctx: Context) -> bool:
     is the previous root. Equivalent to membership in the realized family,
     but computed without the generator.
     """
+    return _spec_of(s, ctx) is not None
+
+
+def _spec_of(s: EdgeSet, ctx: Context) -> BlockerSpec | None:
+    """The spec that realizes s, or None when none does: direction_sweep_check's sweep, offsets kept."""
     n, m = ctx.n, ctx.m
     by_direction = _by_odd_direction(s, ctx)
-    if by_direction is None:
-        return False
-    run = _boundary_run(s, ctx)
-    if run is None:
-        return False
+    if by_direction is None or (run := _boundary_run(s, ctx)) is None:
+        return None
     v0, t = run
     bound = t - 1
+    epsilons = []
     for j in range(1, m - t + 1):
         a, b = by_direction[(2 * (v0 + t + j) - 1) % n]
         x, y = (a - v0) % n, (b - v0) % n
         low, high = (x, y) if x < y else (y, x)
         if not (0 < low <= bound and t < high):
-            return False
+            return None
+        epsilons.append(t + j - 1 - low)
         bound = low
-    return True
+    return BlockerSpec(r=v0, t=t, epsilons=epsilons)

@@ -248,17 +248,15 @@ def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> S
     # branches on member i.
     branches: list[Sequence[int] | None] = [None] * k
 
-    # Greedy upper bound: repeatedly take the element covering most unhit
-    # members, the first in index order on ties.
+    # The first best size is a greedy upper bound: repeatedly take the
+    # element covering most unhit members, the first in index order on ties.
     masks = list(map(cov.__getitem__, held))
     hit = 0
-    greedy_size = 0
+    best = 0
     while hit != full:
-        counts = list(map(int.bit_count, map((full ^ hit).__and__, masks)))
-        hit |= masks[counts.index(max(counts))]
-        greedy_size += 1
+        hit |= max(map((full ^ hit).__and__, masks), key=int.bit_count)
+        best += 1
 
-    best = greedy_size
     # The root is the first node. It holds no solution (there are members),
     # and its bound never prunes: best >= p, and every member meets a member
     # of the greedy packing, which is maximal.

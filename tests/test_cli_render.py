@@ -9,10 +9,13 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from convexblockers import (
+    BlockerSpec,
     Context,
+    Edge,
     Layer,
     SimplePath,
     parse_edge_set,
+    realize,
     render_svg,
 )
 from convexblockers import cli, verification
@@ -84,6 +87,16 @@ def test_huge_m_fails_before_any_work(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: half-order m=99999999999999999999999 is too large")
+
+
+@pytest.mark.parametrize(
+    "argv", [("enumerate", "--family", "shp", "--count-only"), ("blockers", "exact", "--family", "shp")]
+)
+def test_shp_beyond_byte_offsets_is_domain_error(capsys, argv):
+    # H's vertex offsets are bytes, so 2m <= 256: m = 129 fails before any table is built
+    code, out, err = run(capsys, *argv, "--m", "129")
+    assert code == 2 and out == ""
+    assert err == "error: H is enumerated with vertex offsets as bytes, so 2m <= 256; got m=129\n"
 
 
 def test_out_of_memory_is_domain_error(capsys, monkeypatch):
@@ -238,6 +251,17 @@ def test_blockers_formula_family_lines(capsys):
         assert rec["spec"]["t"] == 2
     rendered = {",".join(f"{a}-{b}" for a, b in rec["edges"]) for rec in lines}
     assert rendered == {"0-1,0-3", "0-1,1-2", "0-3,2-3", "1-2,2-3"}
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_blockers_formula_spec_realizes_its_edges(capsys, m):
+    # each line's spec, read off its member's edges, realizes those edges
+    code, out, _ = run(capsys, "blockers", "formula", "--m", str(m))
+    assert code == 0
+    ctx = Context(m)
+    for rec in map(json.loads, out.splitlines()):
+        edges = frozenset(Edge(a, b) for a, b in rec["edges"])
+        assert realize(BlockerSpec(**rec["spec"]), ctx) == edges
 
 
 def test_blockers_exact_generic(capsys):

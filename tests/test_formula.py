@@ -28,6 +28,7 @@ from convexblockers import (
     rotate,
     validate_structure,
 )
+from convexblockers.formula import _spec_of
 from oracles import hits_all, one_boundary_run, one_per_odd_direction, validate_structure_all_pairs
 
 KNOWN_12GON_BLOCKER = "0-1,1-2,1-10,2-3,2-5,2-7"
@@ -295,6 +296,15 @@ def test_direction_sweep_accepts_exactly_formula_family():
             if len(s) < ctx.m:
                 continue
             assert direction_sweep_check(s, ctx) == (s in fam), format_edge_set(s)
+            assert_reader_inverts_realize(s, ctx)
+
+
+def assert_reader_inverts_realize(s, ctx):
+    """_spec_of reads back a spec that realizes s exactly where the sweep accepts s."""
+    spec = _spec_of(s, ctx)
+    assert (spec is not None) == direction_sweep_check(s, ctx), format_edge_set(s)
+    if spec is not None:
+        assert realize(spec, ctx) == s, format_edge_set(s)
 
 
 @functools.cache
@@ -327,6 +337,7 @@ def test_direction_sweep_accepts_exactly_formula_family_sampled(case):
     # a member
     m, s = case
     assert direction_sweep_check(s, Context(m)) == (s in set(formula_members(m))), format_edge_set(s)
+    assert_reader_inverts_realize(s, Context(m))
 
 
 @st.composite
