@@ -278,8 +278,11 @@ def _dispatch(argv: Sequence[str]) -> int:
     known, _ = pre.parse_known_args(list(argv))
     defaults = None
     if known.config:
-        with open(known.config) as fh:
-            defaults = json.load(fh)
+        with open(known.config, encoding="utf-8") as fh:
+            try:
+                defaults = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise ValueError(f"config file {known.config}: {exc}") from None
         if not isinstance(defaults, dict):
             raise ValueError(f"config file {known.config} must hold a JSON object")
     parser = build_parser(defaults)

@@ -80,7 +80,7 @@ def _offsets_by_end(n: int) -> list[list[bytes]]:
 
 
 def enumerate_shp(ctx: Context) -> Iterator[SimplePath]:
-    """Yield every simple Hamiltonian path once, canonically ordered.
+    """Every simple Hamiltonian path once, canonically ordered, as an iterator.
 
     A noncrossing Hamiltonian path, read from either end, keeps the unvisited
     vertices a contiguous circular arc and always steps to one of the two arc
@@ -98,11 +98,16 @@ def enumerate_shp(ctx: Context) -> Iterator[SimplePath]:
     do. Readings are sorted per start, which is their first vertex, so the
     starts in turn give the global order. Each start's paths are yielded as
     soon as its readings are sorted, so only one start's readings are held
-    next to the offset table.
+    next to the offset table. The cap 2m <= 256 is checked at the call,
+    not at the first next(), so nothing is built for an m beyond it.
     """
-    n = ctx.n
-    if n > 256:
+    if ctx.n > 256:
         raise ValueError(f"H is enumerated with vertex offsets as bytes, so 2m <= 256; got m={ctx.m}")
+    return _shp_paths(ctx.n)
+
+
+def _shp_paths(n: int) -> Iterator[SimplePath]:
+    """enumerate_shp's paths of the n-gon, for n <= 256."""
     by_end = _offsets_by_end(n)
     offsets = bytes(range(n))
     # SimplePath(t) with a tuple t stores t as is; skip its __init__ and

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .geometry import (
     Context,
@@ -233,14 +233,14 @@ def _by_odd_direction(s: EdgeSet, ctx: Context) -> dict[int, Edge] | None:
     return by_direction
 
 
-def check_one_per_odd_direction(blockers: Iterable[EdgeSet], ctx: Context) -> bool:
-    """True iff every given edge set uses each odd direction exactly once."""
-    return all(_by_odd_direction(b, ctx) is not None for b in blockers)
+def check_one_per_odd_direction(s: EdgeSet, ctx: Context) -> bool:
+    """True iff the edge set uses each odd direction exactly once and no other."""
+    return _by_odd_direction(s, ctx) is not None
 
 
-def check_boundary_edges_consecutive(blockers: Iterable[EdgeSet], ctx: Context) -> bool:
-    """True iff each edge set's boundary edges form one consecutive run, length >= 2."""
-    return all(_boundary_run(b, ctx) is not None for b in blockers)
+def check_boundary_edges_consecutive(s: EdgeSet, ctx: Context) -> bool:
+    """True iff the edge set's boundary edges form one consecutive run, length >= 2."""
+    return _boundary_run(s, ctx) is not None
 
 
 def direction_sweep_check(s: EdgeSet, ctx: Context) -> bool:

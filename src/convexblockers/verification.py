@@ -122,10 +122,6 @@ class TheoremReport:
         return self.status == "pass"
 
 
-def _profile_ok(blocker: EdgeSet, ctx: Context) -> bool:
-    return check_one_per_odd_direction([blocker], ctx) and check_boundary_edges_consecutive([blocker], ctx)
-
-
 def _first_unhit(blocker: tuple[int, ...], family: Iterable[Sequence[int]]) -> Sequence[int] | None:
     """The first member, in canonical order, that shares no edge index with blocker.
 
@@ -138,8 +134,9 @@ def _first_unhit(blocker: tuple[int, ...], family: Iterable[Sequence[int]]) -> S
 def verify_theorems(m: int, config: SolverConfig | None = None) -> TheoremReport:
     """Derive, solve, compare and shape-check everything for one m."""
     ctx = Context(m)
-    spm = family_system("spm", ctx)
+    # H first: enumerate_shp rejects an m beyond its cap at the call, before M is built.
     shp = family_system("shp", ctx)
+    spm = family_system("spm", ctx)
     res_spm = min_hitting_sets(spm, config)
     res_shp = min_hitting_sets(shp, config)
 
@@ -153,14 +150,16 @@ def verify_theorems(m: int, config: SolverConfig | None = None) -> TheoremReport
     eq_families = key_shp == key_spm
     eq_formula = key_spm == key_formula
 
-    # Shape-check every solver blocker (union of both, deduplicated).
+    # Shape-check every solver blocker (union of both, deduplicated): each
+    # predicate judges each blocker once, into a list of verdicts beside
+    # distinct, and a failed check's witness is the first blocker it rejected.
     distinct = [frozenset(map(ctx.edge_at, t)) for t in sorted(set(key_spm) | set(key_shp))]
     reports = [validate_structure(b, ctx) for b in distinct]
-    all_caterpillar = all(r.is_tree and r.is_noncrossing and r.is_caterpillar for r in reports)
-    all_spine = all(r.boundary_spine is not None for r in reports)
-    all_sweep = all(direction_sweep_check(b, ctx) for b in distinct)
-    one_per_odd = check_one_per_odd_direction(distinct, ctx)
-    consecutive = check_boundary_edges_consecutive(distinct, ctx)
+    sweeps = [direction_sweep_check(b, ctx) for b in distinct]
+    one_per_odd = [check_one_per_odd_direction(b, ctx) for b in distinct]
+    consecutive = [check_boundary_edges_consecutive(b, ctx) for b in distinct]
+    shapes = [r.passes() for r in reports]
+    profiles = [a and b for a, b in zip(one_per_odd, consecutive)]
 
     min_ok = res_spm.min_size == m and res_shp.min_size == m
     # Every check in report order, each with a builder of its witness; only
@@ -172,18 +171,9 @@ def verify_theorems(m: int, config: SolverConfig | None = None) -> TheoremReport
         (eq_families, lambda: _diff_witness("blocker_families_differ", key_shp, key_spm, *families, ctx)),
         (eq_formula, lambda: _diff_witness("formula_family_differs", key_formula, key_spm, *formula, ctx)),
         (min_ok, lambda: _witness("min_size_mismatch", side="spm" if res_spm.min_size != m else "shp")),
-        (
-            all_caterpillar and all_spine,
-            lambda: _witness("structure_check_failed", next(b for b, r in zip(distinct, reports) if not r.passes())),
-        ),
-        (
-            all_sweep,
-            lambda: _witness("direction_sweep_failed", next(b for b in distinct if not direction_sweep_check(b, ctx))),
-        ),
-        (
-            one_per_odd and consecutive,
-            lambda: _witness("profile_check_failed", next(b for b in distinct if not _profile_ok(b, ctx))),
-        ),
+        (all(shapes), lambda: _witness("structure_check_failed", distinct[shapes.index(False)])),
+        (all(sweeps), lambda: _witness("direction_sweep_failed", distinct[sweeps.index(False)])),
+        (all(profiles), lambda: _witness("profile_check_failed", distinct[profiles.index(False)])),
     ]
 
     counterexample: dict | None = None
@@ -212,11 +202,11 @@ def verify_theorems(m: int, config: SolverConfig | None = None) -> TheoremReport
         },
         structure={
             "checked": len(distinct),
-            "all_simple_caterpillar": all_caterpillar,
-            "all_boundary_spine": all_spine,
-            "all_direction_sweep": all_sweep,
-            "one_per_odd_direction": one_per_odd,
-            "boundary_edges_consecutive": consecutive,
+            "all_simple_caterpillar": all(r.is_tree and r.is_noncrossing and r.is_caterpillar for r in reports),
+            "all_boundary_spine": all(r.boundary_spine is not None for r in reports),
+            "all_direction_sweep": all(sweeps),
+            "one_per_odd_direction": all(one_per_odd),
+            "boundary_edges_consecutive": all(consecutive),
         },
         solver={
             "spm": {"status": res_spm.status, "nodes": res_spm.nodes},

@@ -90,13 +90,22 @@ def test_huge_m_fails_before_any_work(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize(
-    "argv", [("enumerate", "--family", "shp", "--count-only"), ("blockers", "exact", "--family", "shp")]
+    "argv",
+    [("enumerate", "--family", "shp", "--count-only"), ("blockers", "exact", "--family", "shp"), ("verify",)],
 )
-def test_shp_beyond_byte_offsets_is_domain_error(capsys, argv):
-    # H's vertex offsets are bytes, so 2m <= 256: m = 129 fails before any table is built
-    code, out, err = run(capsys, *argv, "--m", "129")
-    assert code == 2 and out == ""
-    assert err == "error: H is enumerated with vertex offsets as bytes, so 2m <= 256; got m=129\n"
+def test_shp_beyond_byte_offsets_is_domain_error(capsys, monkeypatch, argv):
+    # H's vertex offsets are bytes, so 2m <= 256. enumerate_shp checks this
+    # when it is called and verify builds H before M, so from m = 129 up
+    # neither M nor the edge table is built first
+    def work(*args, **kwargs):
+        raise AssertionError("work started beyond H's cap")
+
+    monkeypatch.setattr(verification, "enumerate_spm", work)
+    monkeypatch.setattr(Context, "all_edges", property(work))
+    for m in ("129", "2000000000"):
+        code, out, err = run(capsys, *argv, "--m", m)
+        assert code == 2 and out == ""
+        assert err == f"error: H is enumerated with vertex offsets as bytes, so 2m <= 256; got m={m}\n"
 
 
 def test_out_of_memory_is_domain_error(capsys, monkeypatch):
@@ -419,6 +428,22 @@ def test_config_missing_file(tmp_path, capsys):
         "--family", "spm",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "content, needle",
+    [
+        (b"nope", "Expecting value"),
+        (b'{"m": 3}\xff', "can't decode byte 0xff"),
+        (b"[3]", "must hold a JSON object"),
+    ],
+)
+def test_config_error_names_the_file(tmp_path, capsys, content, needle):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    code, out, err = run(capsys, "--config", str(cfg), "verify")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: config file {cfg}") and needle in err
 
 
 @pytest.mark.parametrize(

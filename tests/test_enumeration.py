@@ -95,6 +95,14 @@ def test_yielded_paths_are_plain_simple_paths(m):
         assert pickle.dumps(p) == pickle.dumps(q)
 
 
+def test_shp_cap_is_checked_at_the_call():
+    # no next(): the ValueError comes from the call itself
+    with pytest.raises(ValueError, match="2m <= 256; got m=129"):
+        enumerate_shp(Context(129))
+    # at the cap the call succeeds and, until next(), builds nothing
+    enumerate_shp(Context(128))
+
+
 def test_every_enumerated_object_is_valid():
     ctx = Context(4)
     for s in enumerate_spm(ctx):

@@ -152,7 +152,7 @@ def test_validate_structure_known_blocker():
     rep = validate_structure(s, ctx)
     assert rep.is_tree and rep.is_noncrossing and rep.is_caterpillar
     assert rep.boundary_spine == (0, 1, 2, 3)
-    assert check_one_per_odd_direction([s], ctx)
+    assert check_one_per_odd_direction(s, ctx)
     assert rep.passes()
 
 
@@ -280,7 +280,7 @@ def test_every_formula_member_passes_structure(theorem_reports):
             rep = validate_structure(s, ctx)
             assert rep.passes(), (m, format_edge_set(s))
             assert rep.boundary_spine is not None
-            assert check_one_per_odd_direction([s], ctx)
+            assert check_one_per_odd_direction(s, ctx)
 
 
 def test_direction_sweep_accepts_exactly_formula_family():
@@ -385,8 +385,8 @@ def test_profile_checks_match_plain_oracles(case):
     if kind == "repeat":
         assert not one_per_odd_direction(pairs, n)
     s = frozenset(Edge(a, b) for a, b in pairs)
-    assert check_one_per_odd_direction([s], ctx) == one_per_odd_direction(pairs, n), format_edge_set(s)
-    assert check_boundary_edges_consecutive([s], ctx) == one_boundary_run(pairs, n), format_edge_set(s)
+    assert check_one_per_odd_direction(s, ctx) == one_per_odd_direction(pairs, n), format_edge_set(s)
+    assert check_boundary_edges_consecutive(s, ctx) == one_boundary_run(pairs, n), format_edge_set(s)
 
 
 def _relabelings(s, n):
@@ -406,14 +406,14 @@ def test_profile_checks_read_labels_mod_2m():
         ctx = Context(m)
         verdicts = (
             direction_sweep_check(s, ctx),
-            check_one_per_odd_direction([s], ctx),
-            check_boundary_edges_consecutive([s], ctx),
+            check_one_per_odd_direction(s, ctx),
+            check_boundary_edges_consecutive(s, ctx),
         )
         for t in _relabelings(s, ctx.n):
             assert (
                 direction_sweep_check(t, ctx),
-                check_one_per_odd_direction([t], ctx),
-                check_boundary_edges_consecutive([t], ctx),
+                check_one_per_odd_direction(t, ctx),
+                check_boundary_edges_consecutive(t, ctx),
             ) == verdicts, (m, format_edge_set(t))
             with pytest.raises(ValueError, match="out of range"):
                 validate_structure(t, ctx)

@@ -135,21 +135,20 @@ def test_verify_inconclusive_on_tiny_node_limit():
 
 def test_check_one_per_odd_direction():
     ctx = Context(3)
-    good = parse_edge_set("0-1,1-2,2-3")
-    assert check_one_per_odd_direction([good], ctx)
-    assert not check_one_per_odd_direction([parse_edge_set("0-1,1-2,3-4")], ctx)
-    assert not check_one_per_odd_direction([parse_edge_set("0-1,1-2,0-2")], ctx)
-    assert not check_one_per_odd_direction([good, parse_edge_set("0-1,1-2")], ctx)
-    assert check_one_per_odd_direction([], ctx)
+    assert check_one_per_odd_direction(parse_edge_set("0-1,1-2,2-3"), ctx)
+    assert not check_one_per_odd_direction(parse_edge_set("0-1,1-2,3-4"), ctx)
+    assert not check_one_per_odd_direction(parse_edge_set("0-1,1-2,0-2"), ctx)
+    # too few edges: odd direction 5 is missing
+    assert not check_one_per_odd_direction(parse_edge_set("0-1,1-2"), ctx)
 
 
 def test_check_boundary_edges_consecutive():
     ctx = Context(3)
-    assert check_boundary_edges_consecutive([parse_edge_set("0-1,1-2,2-5")], ctx)
-    assert check_boundary_edges_consecutive([parse_edge_set("0-1,0-5,1-4")], ctx)
-    assert not check_boundary_edges_consecutive([parse_edge_set("0-1,2-3,1-4")], ctx)
+    assert check_boundary_edges_consecutive(parse_edge_set("0-1,1-2,2-5"), ctx)
+    assert check_boundary_edges_consecutive(parse_edge_set("0-1,0-5,1-4"), ctx)
+    assert not check_boundary_edges_consecutive(parse_edge_set("0-1,2-3,1-4"), ctx)
     # a single boundary edge or none at all is a failure for these families
-    assert not check_boundary_edges_consecutive([parse_edge_set("0-3,1-4,2-5")], ctx)
+    assert not check_boundary_edges_consecutive(parse_edge_set("0-3,1-4,2-5"), ctx)
 
 
 def test_boundary_circuit_control_family():
@@ -368,7 +367,11 @@ COUNTEREXAMPLES = {
         {"kind": "direction_sweep_failed", "edges": "0-1,0-2,0-5", "side": None, "unhit_member": None},
     ),
     "profile_check_fails": (
-        dict(check_one_per_odd_direction=lambda blockers, ctx: False),
+        dict(check_one_per_odd_direction=lambda s, ctx: False),
+        {"kind": "profile_check_failed", "edges": "0-1,0-3,0-5", "side": None, "unhit_member": None},
+    ),
+    "boundary_run_check_fails": (
+        dict(check_boundary_edges_consecutive=lambda s, ctx: False),
         {"kind": "profile_check_failed", "edges": "0-1,0-3,0-5", "side": None, "unhit_member": None},
     ),
 }
