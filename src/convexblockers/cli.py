@@ -5,8 +5,8 @@ render. All machine output is canonical JSON (sorted keys, compact
 separators) or the plain edge-set text format, written to stdout or --out;
 progress and timing go to stderr so repeated runs stay byte-identical.
 
-Exit codes: 0 success, 1 usage error, 2 domain error (out of memory too),
-3 verification failure, 4 solver gave up (node limit).
+Exit codes: 0 success, 1 usage error, 2 domain error (also out of memory or
+too deep a recursion), 3 verification failure, 4 solver gave up (node limit).
 """
 
 from __future__ import annotations
@@ -296,7 +296,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, RecursionError) as exc:  # M nests one generator per chord
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except SystemExit as exc:  # argparse --help

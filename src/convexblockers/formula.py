@@ -37,6 +37,7 @@ from .geometry import (
     _boundary_steps,
     _edge,
     direction,
+    rotate,
 )
 
 __all__ = [
@@ -100,10 +101,10 @@ def realize(spec: BlockerSpec, ctx: Context) -> EdgeSet:
     forward endpoint stays <= 2m-2: no label wraps before the final rotation.
     """
     _validate(spec, ctx)
-    n, r, t = ctx.n, spec.r, spec.t
+    t = spec.t
     ends = [(i - 1, i) for i in range(1, t + 1)]
     ends += ((t + j - 1 - eps, t + j + eps) for j, eps in enumerate(spec.epsilons, start=1))
-    return frozenset(_edge((a + r) % n, (b + r) % n) for a, b in ends)
+    return rotate(itertools.starmap(_edge, ends), spec.r, ctx)
 
 
 def iter_blocker_specs(ctx: Context) -> Iterator[BlockerSpec]:

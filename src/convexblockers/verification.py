@@ -18,8 +18,8 @@ only for the shape checks and the report.
 
 The resulting TheoremReport is deterministic byte for byte: no timing, no
 environment data. Its content_hash is derived, a SHA-256 over the
-canonical_json of the other fields, and from_json_dict rejects a report whose
-stored hash does not match its body.
+canonical_json of the other fields, and from_json_dict rejects a report with
+a missing or unknown key, or whose stored hash does not match its body.
 """
 
 from __future__ import annotations
@@ -112,7 +112,15 @@ class TheoremReport:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TheoremReport":
-        """The report d holds; ValueError when its content_hash does not match its body."""
+        """The report d holds.
+
+        ValueError when d misses a key or has one the report does not, or when
+        its content_hash does not match its body.
+        """
+        names = {f.name for f in fields(cls)} | {"content_hash"}
+        missing, unknown = sorted(names - d.keys()), sorted(d.keys() - names)
+        if missing or unknown:
+            raise ValueError(f"report: missing keys {missing}, unknown keys {unknown}")
         report = cls(**{f.name: d[f.name] for f in fields(cls)})
         if report.content_hash != d["content_hash"]:
             raise ValueError(f"report for m={report.m}: content_hash does not match the report body")

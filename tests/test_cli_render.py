@@ -117,6 +117,14 @@ def test_out_of_memory_is_domain_error(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
+def test_too_deep_recursion_is_domain_error(capsys):
+    # M's enumerator nests one generator per chord, so from m = 992 on the
+    # default recursion limit stops it before its first matching
+    code, out, err = run(capsys, "enumerate", "--m", "992", "--family", "spm", "--count-only")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 # --------------------------------------------------------------- enumerate
 
 

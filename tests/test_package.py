@@ -61,7 +61,6 @@ AWAITING_CALLER = {
     "canonical_spm_family": "item 2: the disjoint packing that proves the lower bound for M",
     "is_simple_perfect_matching": "item 9: the membership predicate of the M oracle",
     "reflect": "items 2 and 6: the dihedral closure check and the symmetry generators",
-    "rotate": "items 2 and 6: the dihedral closure check and the symmetry generators",
 }
 
 

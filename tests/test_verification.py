@@ -4,7 +4,11 @@ import dataclasses
 import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,7 @@ from convexblockers import (
     verify_theorems,
 )
 from convexblockers import verification
+from certify_gate import BODIES, body_digest, mismatches
 from oracles import boundary_paths, hits_all
 
 SHP_COUNT = {m: 2 * m * 2 ** (2 * m - 3) for m in range(2, 8)}
@@ -90,31 +95,56 @@ def test_report_with_edited_field_is_rejected(theorem_reports, field, value):
         TheoremReport.from_json_dict(d)
 
 
+@pytest.mark.parametrize("key", ["content_hash", "structure", "injected"])
+def test_report_with_missing_or_unknown_key_is_rejected(theorem_reports, key):
+    # a key of the report is dropped, any other added; an unknown key is
+    # outside the hashed body, so only the key check sees it
+    d = theorem_reports[3].to_json_dict()
+    if key in d:
+        del d[key]
+    else:
+        d[key] = 1
+    with pytest.raises(ValueError, match=key):
+        TheoremReport.from_json_dict(d)
+
+
 def test_reports_deterministic(theorem_reports):
     fresh = verify_theorems(3)
     assert canonical_json(fresh.to_json_dict()) == canonical_json(theorem_reports[3].to_json_dict())
 
 
-# SHA-256 of each canonical report without content_hash and without the
-# solver node counts, which a sound change to the search may alter: the
-# mathematical content of every report for m = 2..6. The benchmark's certify
-# workload pins the same values.
-GOLDEN_REPORT_BODIES = {
-    2: "8b2027d999f2a298140b7ed74623627ab59c06a45a72ad198f86d1823c900ea5",
-    3: "a2074d5b88d8ee7d7d58289610c5a32dfaf571d14935d839cbbb46ec967de0b2",
-    4: "599051b3de5f4c4aa577649a8abf9b83158b45c5bdb65078b00fd37906c15010",
-    5: "3c13e08bd7c7f67e54d8483d4c771d1d768bcdf5aced69062c752476e8cc470b",
-    6: "1c8812e8f3647b1c755640a6941617a0f3cef128ece8b780008206fd05f5c572",
-}
-
-
 def test_golden_report_bodies(theorem_reports):
-    assert sorted(theorem_reports) == sorted(GOLDEN_REPORT_BODIES)
+    # the CI gate pins m = 2..10; the benchmark's certify workload pins
+    # m = 2..6 in its own CERTIFY_DIGESTS
+    assert sorted(theorem_reports) == list(range(2, 7))
     for m, rep in theorem_reports.items():
-        body = {k: v for k, v in rep.to_json_dict().items() if k != "content_hash"}
-        body["solver"] = {fam: {k: v for k, v in d.items() if k != "nodes"} for fam, d in body["solver"].items()}
-        text = json.dumps(body, sort_keys=True, separators=(",", ":"))
-        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORT_BODIES[m], m
+        assert body_digest(rep.to_json_dict()) == BODIES[m], m
+
+
+@pytest.mark.parametrize(
+    "ceiling, command, code, said",
+    [
+        ("200", "verify --m 2 --to 4", 0, "output matches its pin"),
+        ("1", "verify --m 2 --to 4", 1, "(ceiling 1)"),
+        ("200", "blockers formula --m 3", 1, "no pinned output"),
+    ],
+)
+def test_certify_gate(tmp_path, ceiling, command, code, said):
+    # a process of its own, so the peak RSS the gate reads is the command's
+    env = {**os.environ, "PYTHONPATH": str(Path(verification.__file__).parents[1])}
+    argv = [sys.executable, str(Path(__file__).with_name("certify_gate.py")), ceiling, *command.split()]
+    gate = subprocess.run([*argv, "--out", str(tmp_path / "out")], capture_output=True, text=True, env=env, timeout=300)
+    assert gate.returncode == code
+    assert said in gate.stdout and "Traceback" not in gate.stderr
+
+
+def test_certify_gate_names_each_wrong_or_missing_body(tmp_path, theorem_reports):
+    report = theorem_reports[2].to_json_dict()
+    report["status"] = "fail"
+    path = tmp_path / "reports.jsonl"
+    path.write_text(canonical_json(report) + "\n")
+    wrong = mismatches(["verify", "--m", "2", "--to", "3"], str(path))
+    assert [line.split(":")[0] for line in wrong] == ["m=2", "m=3"]
 
 
 def test_passes_matches_status(theorem_reports):
