@@ -71,10 +71,11 @@ def parse_blocker_spec(text: str) -> BlockerSpec:
     parts = text.strip().split(":")
     if len(parts) not in (2, 3):
         raise ValueError(f"bad spec text {text!r}, expected 'r:t:e1,e2,...'")
-    r, t = int(parts[0]), int(parts[1])
-    eps: tuple[int, ...] = ()
-    if len(parts) == 3 and parts[2]:
-        eps = tuple(int(x) for x in parts[2].split(","))
+    try:
+        r, t = int(parts[0]), int(parts[1])
+        eps = tuple(int(x) for x in parts[2].split(",")) if len(parts) == 3 and parts[2] else ()
+    except ValueError:
+        raise ValueError(f"bad spec text {text!r}, expected integers 'r:t:e1,e2,...'") from None
     return BlockerSpec(r=r, t=t, epsilons=eps)
 
 

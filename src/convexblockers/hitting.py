@@ -40,8 +40,9 @@ increasing weight (the sum of the member's element frequencies).
   there the node asks only whether the element hits every member still
   unhit, and computes no bound.
 
-A member is a tuple of element indices or, in a system of bytes members,
-the bytes of those indices (see SetSystem). The solver only iterates
+SetSystem alone fixes the member format: a member is the bytes of its
+sorted element indices while the ground has at most 256 elements, their
+tuple above that, whatever kind the caller passed. The solver only iterates
 members, deduplicates them, sorts them and takes their lengths, and sorted
 bytes do each of these as their index tuples do, so both kinds give the
 same order, packing, nodes and solutions; solutions are always tuples.
@@ -93,36 +94,38 @@ class NodeLimitExceeded(Exception):
 class SetSystem:
     """A finite ground set 0..ground_size-1 and a list of nonempty subsets.
 
-    Each member is stored in one of two kinds, the same for the whole
-    system: a tuple of its elements in increasing order, or, when every
-    member given is bytes, the bytes of those elements (one byte each, so
-    elements below 256). Bytes iterate as their ints, and sorted bytes
-    deduplicate, sort and compare among themselves exactly as their element
-    tuples do, so the solver treats both kinds alike; bytes take about a
-    quarter of a tuple's memory.
+    sets may be any iterable of members, each an iterable of elements; it is
+    consumed once, so a generator of members is never held as a list. Each
+    member is stored in increasing order, in the one kind the ground size
+    fixes: the bytes of its elements while every element fits in a byte
+    (ground_size <= 256), the tuple of its elements above that. Bytes
+    iterate as their ints, and sorted bytes deduplicate, sort and compare
+    among themselves exactly as their element tuples do, so the solver gives
+    the same result for both kinds; bytes take about a quarter of a tuple's
+    memory.
     """
 
     ground_size: int
-    sets: tuple[tuple[int, ...], ...] | tuple[bytes, ...]
+    sets: tuple[bytes, ...] | tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.ground_size < 0:
+        ground = self.ground_size
+        if ground < 0:
             raise ValueError("ground_size must be nonnegative")
-        # The members are all bytes or all tuples: a system whose members are
-        # all bytes stays bytes, and any other system becomes tuples.
-        kind = bytes if all(type(s) is bytes for s in self.sets) else tuple
+        kind = bytes if ground <= 256 else tuple
         norm = []
         for s in self.sets:
-            # A caller's canonical member (a nonempty member of the system's
-            # kind, its elements strictly increasing) is kept as it is; only
-            # the others are sorted and deduplicated into one.
-            if not (type(s) is kind and s and all(map(lt, s, s[1:]))):
-                s = kind(sorted(set(s)))
+            # A sorted tuple, list or bytes of distinct elements is canonical
+            # as given; only other members are sorted and deduplicated. The
+            # range check comes before the packing, so an element that does
+            # not fit in a byte fails it and not bytes().
+            if not (type(s) in (tuple, list, bytes) and s and all(map(lt, s, s[1:]))):
+                s = sorted(set(s))
                 if not s:
                     raise ValueError("member sets must be nonempty")
-            if s[0] < 0 or s[-1] >= self.ground_size:
-                raise ValueError(f"set {s} has elements outside 0..{self.ground_size - 1}")
-            norm.append(s)
+            if s[0] < 0 or s[-1] >= ground:
+                raise ValueError(f"set {list(s)} has elements outside 0..{ground - 1}")
+            norm.append(s if type(s) is kind else kind(s))
         object.__setattr__(self, "sets", tuple(norm))
 
 

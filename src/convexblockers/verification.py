@@ -5,7 +5,9 @@ verify_theorems(m) re-derives everything from scratch and cross-compares:
   1. enumerate both families (simple perfect matchings, simple Hamiltonian
      paths) with the fast enumerators; family_system streams each straight
      into its SetSystem over dense edge indices, the one form a family is
-     held in, and `blockers exact` builds its system the same way;
+     held in, and `blockers exact` builds its system the same way. Each
+     member goes in as a sorted list of indices, and SetSystem alone
+     decides how it is stored;
   2. hand both systems to the geometry-blind exact solver to get all minimum
      blockers;
   3. generate the explicit caterpillar family;
@@ -38,13 +40,12 @@ from .formula import (
     iter_blocker_specs,
     validate_structure,
 )
-from .geometry import Context, Edge, EdgeSet, format_edge_set
+from .geometry import Context, Edge, format_edge_set
 from .hitting import SetSystem, SolverConfig, min_hitting_sets
 
 __all__ = [
     "TheoremReport",
     "canonical_json",
-    "edge_set_system",
     "family_system",
     "verify_theorems",
 ]
@@ -55,30 +56,15 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def edge_set_system(family: Iterable[EdgeSet], ctx: Context) -> SetSystem:
-    """The edge sets of a family as a SetSystem over the dense edge indices of ctx.
-
-    The family is consumed lazily, one member at a time, so a generator of
-    edge sets is never held as a list: each edge set can be freed as soon as
-    it has become its sorted edge indices, which SetSystem keeps as they
-    are. While every index fits in a byte (at most 256 edges, m <= 11) a
-    member is the bytes of its sorted indices, about a quarter of the memory
-    of a tuple; above that it is their tuple. The solver gives the same
-    result for both kinds (see the hitting module), and its solutions are
-    tuples either way. Dense index order is canonical edge order, so the
-    sorted indices list the edges as sorted() does. Raises ValueError, as
-    Context.edge_index does, for an edge that is not an edge of the 2m-gon.
-    """
-    index = ctx.edge_index
-    pack = bytes if ctx.num_edges <= 256 else tuple
-    sets = tuple(pack(sorted(map(index, s))) for s in family)
-    return SetSystem(ground_size=ctx.num_edges, sets=sets)
-
-
 def family_system(family: str, ctx: Context) -> SetSystem:
-    """The SetSystem of one family of ctx: "spm" or "shp", streamed from its enumerator.
+    """The SetSystem of one family of ctx: "spm" or "shp", over its dense edge indices.
 
-    A path becomes its edge set; any other family name raises ValueError.
+    The enumerator is streamed into SetSystem one member at a time: each
+    edge set (a path's, for H) is freed once it has become its sorted edge
+    indices, and ctx's edge table is first read when the first member
+    arrives. Dense index order is canonical edge order, so the sorted
+    indices list the edges as sorted() does. Any other family name raises
+    ValueError.
     """
     if family == "spm":
         sets = enumerate_spm(ctx)
@@ -86,7 +72,7 @@ def family_system(family: str, ctx: Context) -> SetSystem:
         sets = (p.edge_set() for p in enumerate_shp(ctx))
     else:
         raise ValueError(f"unknown family {family!r}, expected 'spm' or 'shp'")
-    return edge_set_system(sets, ctx)
+    return SetSystem(ctx.num_edges, (sorted(map(ctx.edge_index, s)) for s in sets))
 
 
 @dataclass(frozen=True)
@@ -133,7 +119,7 @@ class TheoremReport:
 def _first_unhit(blocker: tuple[int, ...], family: Iterable[Sequence[int]]) -> Sequence[int] | None:
     """The first member, in canonical order, that shares no edge index with blocker.
 
-    Members are sorted edge indices, as tuples or bytes of one system.
+    Members are sorted edge indices, in the kind their SetSystem stores.
     """
     hit = set(blocker)
     return min((member for member in family if hit.isdisjoint(member)), default=None)

@@ -31,6 +31,7 @@ BODIES = {
 
 OUTPUTS = {
     "enumerate --m 9 --family shp": "b8520ac07d9e1d5676692d3f55577ec0399e53db795d4e794592c5985c5cf783",
+    "enumerate --m 12 --family spm": "6ece352af6945291bc55d0c4e0f7d32799f7737e05dd45d5b9de0e2f5ea2ada2",
     "blockers formula --m 8": "1c28ab7857fdd346be88d574c2ce5305e6b5e6d154ea73b242d802c0c0ffa2ec",
 }
 

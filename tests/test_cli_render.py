@@ -117,12 +117,23 @@ def test_out_of_memory_is_domain_error(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
-def test_too_deep_recursion_is_domain_error(capsys):
+def test_too_deep_recursion_is_domain_error(capsys, monkeypatch):
     # M's enumerator nests one generator per chord, so from m = 992 on the
-    # default recursion limit stops it before its first matching
+    # default recursion limit stops it before its first matching. Each level
+    # slices a range, not a copy of the vertices, and the edge table is read
+    # only for a first member, so even m = 2000000000 fails at once
     code, out, err = run(capsys, "enumerate", "--m", "992", "--family", "spm", "--count-only")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+    def work(*args, **kwargs):
+        raise AssertionError("edge table built before M's first member")
+
+    monkeypatch.setattr(Context, "all_edges", property(work))
+    for m in ("992", "5000", "2000000000"):
+        code, out, err = run(capsys, "blockers", "exact", "--family", "spm", "--m", m)
+        assert code == 2 and out == ""
+        assert err.startswith("error: maximum recursion depth exceeded") and "Traceback" not in err
 
 
 # --------------------------------------------------------------- enumerate
@@ -249,13 +260,14 @@ def test_blockers_formula_single_spec(capsys):
     assert out.strip() == "0-1,1-2,1-10,2-3,2-5,2-7"
 
 
-@pytest.mark.parametrize("spec", ["4:2", "5:2", "0:3", ""])
+@pytest.mark.parametrize("spec", ["4:2", "5:2", "0:3", "", "1:2:a"])
 def test_blockers_formula_bad_spec_is_domain_error(capsys, spec):
     # the 4-gon has rotations 0..3 only, and t = 3 exceeds m = 2; an empty
-    # spec is a malformed one, not a missing one
+    # spec is a malformed one, not a missing one, and a spec that is not all
+    # integers is named in the message
     code, out, err = run(capsys, "blockers", "formula", "--m", "2", "--spec", spec)
     assert code == 2 and out == ""
-    assert ("out of range" if spec else "bad spec text") in err
+    assert (f"bad spec text {spec!r}" if spec in ("", "1:2:a") else "out of range") in err
 
 
 def test_blockers_formula_family_lines(capsys):

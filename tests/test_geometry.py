@@ -69,6 +69,9 @@ def test_context_edge_indexing_roundtrip():
     # lex order: index 0 is 0-1, last is 6-7
     assert ctx.edge_at(0) == Edge(0, 1)
     assert ctx.edge_at(ctx.num_edges - 1) == Edge(6, 7)
+    # a pair that is not an edge of the 8-gon is named, not indexed
+    with pytest.raises(ValueError, match="edge 1-9 is not an edge of the 2m-gon with m=4"):
+        ctx.edge_index(Edge(1, 9))
 
 
 def test_direction_and_order_frozen_values():

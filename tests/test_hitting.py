@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 import tracemalloc
 from collections import Counter
 
@@ -43,14 +44,26 @@ def _solve(ground, sets, **cfg):
 
 def test_set_system_validation():
     s = SetSystem(ground_size=3, sets=((2, 0, 2), (1,)))
-    assert s.sets == ((0, 2), (1,))  # normalized: sorted, deduplicated
-    # a member that is already a sorted tuple of distinct elements is kept,
-    # not copied
-    member = tuple([0, 2])
-    assert SetSystem(ground_size=3, sets=(member, [1])).sets[0] is member
-    # so is a canonical bytes member, in a system of bytes members
+    assert s.sets == (b"\x00\x02", b"\x01")  # normalized: sorted, deduplicated
+    # a member already of the system's kind and canonical (sorted, its
+    # elements distinct) is kept, not copied
     member = bytes([0, 2])
-    assert SetSystem(ground_size=3, sets=(member, b"\x01")).sets[0] is member
+    assert SetSystem(ground_size=3, sets=(member, [1])).sets[0] is member
+    member = tuple([0, 2])
+    assert SetSystem(ground_size=257, sets=(member, b"\x01")).sets[0] is member
+    # the members may come from any iterable, which is consumed once
+    members = iter([[0, 2], [1]])
+    assert SetSystem(ground_size=3, sets=members).sets == (b"\x00\x02", b"\x01")
+    assert next(members, None) is None
+
+
+@pytest.mark.parametrize("ground, kind", [(256, bytes), (257, tuple)])
+def test_set_system_packs_bytes_while_elements_fit_a_byte(ground, kind):
+    # the kind follows the ground size alone, whatever kind each member has
+    for member in ((0, ground - 1), [ground - 1, 0], bytes([0, 255])):
+        (stored,) = SetSystem(ground_size=ground, sets=[member]).sets
+        assert type(stored) is kind
+        assert list(stored) == sorted(member)
 
 
 @pytest.mark.parametrize(
@@ -67,17 +80,12 @@ def test_set_system_validation():
     ],
 )
 def test_set_system_normalizes_members(given, stored):
-    # Alone, a member keeps its kind, bytes or tuple; beside a tuple member
-    # it becomes a tuple, as every member of a system that mixes kinds does.
-    for sets, want in (((given,), stored), ((given, (1,)), tuple(stored))):
-        member = SetSystem(ground_size=3, sets=sets).sets[0]
+    # Whatever kind a member has, it is stored as bytes over a ground of at
+    # most 256 elements and as a tuple of ints over a larger one.
+    for ground, want in ((3, bytes(stored)), (257, tuple(stored))):
+        (member,) = SetSystem(ground_size=ground, sets=(given,)).sets
         assert type(member) is type(want)
         assert [(type(e), e) for e in member] == [(type(e), e) for e in want]
-
-
-def _beside_first_element(member):
-    """member after the member {0} of its own kind, so a bytes member stays bytes."""
-    return (b"\x00" if type(member) is bytes else (0,), member)
 
 
 @pytest.mark.parametrize(
@@ -94,14 +102,17 @@ def _beside_first_element(member):
     ],
 )
 def test_set_system_rejects_elements_out_of_range(member):
-    with pytest.raises(ValueError, match=r"has elements outside 0\.\.2"):
-        SetSystem(ground_size=3, sets=_beside_first_element(member))
+    # the message lists the member's sorted ints, whatever its kind, and the
+    # range check comes before packing: -1 never reaches bytes()
+    want = re.escape(f"set {sorted(set(member))} has elements outside 0..2")
+    with pytest.raises(ValueError, match=want):
+        SetSystem(ground_size=3, sets=((0,), member))
 
 
 @pytest.mark.parametrize("member", [(), [], set(), "", pytest.param(b"", id="bytes")])
 def test_set_system_rejects_empty_members(member):
     with pytest.raises(ValueError, match="member sets must be nonempty"):
-        SetSystem(ground_size=3, sets=_beside_first_element(member))
+        SetSystem(ground_size=3, sets=((0,), member))
 
 
 def test_single_element_sets_force_union():
@@ -508,15 +519,18 @@ def test_search_matches_the_one_call_per_node_reference(case, data):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(solver_systems(), st.randoms(use_true_random=False), st.data())
 def test_bytes_members_give_the_same_result(case, rng, data):
-    # The same members as bytes and as tuples, given unsorted, with repeated
-    # elements and repeated members: both systems hold the same index lists,
-    # and the solver returns the same result for both, nodes included.
+    # The same members over ground g, stored as bytes, and over ground
+    # g + 256, stored as tuples, given unsorted, with repeated elements and
+    # repeated members in every kind: both systems hold the same index
+    # lists, and the solver returns the same result for both, nodes included.
     ground, sets = case
     given = [rng.sample(s, len(s)) + rng.choices(s, k=rng.randint(0, 2)) for s in sets]
     given += rng.choices(given, k=rng.randint(0, len(given)))
-    tuples = SetSystem(ground, tuple(map(tuple, given)))
-    packed = SetSystem(ground, tuple(map(bytes, given)))
+    given = [rng.choice((tuple, list, bytes))(s) for s in given]
+    packed = SetSystem(ground, given)
+    tuples = SetSystem(ground + 256, given)
     assert all(type(s) is bytes for s in packed.sets)
+    assert all(type(s) is tuple for s in tuples.sets)
     assert list(map(list, packed.sets)) == list(map(list, tuples.sets))
     total = min_hitting_sets(tuples).nodes
     for limit in (SolverConfig().node_limit, data.draw(st.integers(0, total))):

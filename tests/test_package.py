@@ -1,6 +1,10 @@
 """The package's public names."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import convexblockers
@@ -28,7 +32,6 @@ PUBLIC_NAMES = [
     "crosses",
     "direction",
     "direction_sweep_check",
-    "edge_set_system",
     "enumerate_formula_family",
     "enumerate_shp",
     "enumerate_spm",
@@ -100,3 +103,12 @@ def test_each_public_name_has_a_caller():
     # a public name that only the tests call belongs in tests/oracles.py
     used = _names_used_in_package()
     assert {name for name in convexblockers.__all__ if name not in used} == set(AWAITING_CALLER)
+
+
+def test_readme_library_example_runs():
+    # the README's python block, run as a user would, with the package's
+    # source directory on PYTHONPATH
+    (code,) = re.findall(r"```python\n(.*?)```", (Path(__file__).parents[1] / "README.md").read_text(), re.S)
+    env = {**os.environ, "PYTHONPATH": str(Path(convexblockers.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr

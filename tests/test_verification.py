@@ -21,7 +21,6 @@ from convexblockers import (
     canonical_json,
     check_boundary_edges_consecutive,
     check_one_per_odd_direction,
-    edge_set_system,
     enumerate_shp,
     enumerate_spm,
     family_system,
@@ -251,38 +250,17 @@ def test_every_blocker_is_minimal_exhaustively(m):
                 assert not hits_all(frozenset(combo), spms)
 
 
-def test_edge_set_system_matches_edge_index():
+def test_family_system_matches_edge_index():
     ctx = Context(4)
     for family, fam in (
         ("shp", [p.edge_set() for p in enumerate_shp(ctx)]),
         ("spm", list(enumerate_spm(ctx))),
     ):
-        want = [sorted(ctx.edge_index(e) for e in s) for s in fam]
-        for system in (edge_set_system(fam, ctx), family_system(family, ctx)):
-            assert system.ground_size == ctx.num_edges
-            assert list(map(list, system.sets)) == want
+        system = family_system(family, ctx)
+        assert system.ground_size == ctx.num_edges
+        assert list(map(list, system.sets)) == [sorted(ctx.edge_index(e) for e in s) for s in fam]
     with pytest.raises(ValueError, match="unknown family 'xyz'"):
         family_system("xyz", ctx)
-
-
-@pytest.mark.parametrize("m, kind", [(11, bytes), (12, tuple)])
-def test_edge_set_system_packs_bytes_while_indices_fit_a_byte(m, kind):
-    # the last edge index is 230 at m = 11 and 275 at m = 12
-    ctx = Context(m)
-    (member,) = edge_set_system([frozenset({ctx.all_edges[-1], ctx.all_edges[0]})], ctx).sets
-    assert type(member) is kind
-    assert list(member) == [0, ctx.num_edges - 1]
-
-
-def test_edge_set_system_rejects_edge_outside_polygon():
-    ctx = Context(2)
-    bad = Edge(1, 4)  # the 4-gon has vertices 0..3
-    with pytest.raises(ValueError) as want:
-        ctx.edge_index(bad)
-    with pytest.raises(ValueError) as got:
-        edge_set_system([parse_edge_set("0-1,2-3"), frozenset({Edge(0, 1), bad})], ctx)
-    assert str(got.value) == str(want.value)
-    assert "1-4" in str(got.value)
 
 
 def test_families_held_once_during_solves(monkeypatch):
