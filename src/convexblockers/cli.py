@@ -262,7 +262,10 @@ def _cmd_render(args: argparse.Namespace) -> int:
         layers.append(Layer(content=parse_edge_set(body), style=style))
     for text in args.path or []:
         body, style = _split_style(text)
-        vertices = tuple(int(v) for v in body.split(","))
+        try:
+            vertices = tuple(int(v) for v in body.split(","))
+        except ValueError:
+            raise ValueError(f"bad path text {body!r}, expected integer vertices 'v1,v2,...'") from None
         layers.append(Layer(content=SimplePath(vertices), style=style))
     if not layers:
         raise _UsageError("nothing to draw: give --layer, --path or --background")

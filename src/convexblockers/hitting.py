@@ -32,13 +32,14 @@ increasing weight (the sum of the member's element frequencies).
   the packing size p, every surviving path takes its elements from
   distinct packed members, so the search scans only the transversals of
   the packing and drops each one as soon as a member becomes unreachable.
-- Settling. A node settles each of its children itself: it ORs the
-  child's element into its hit mask, records a solution when every member
-  is hit, applies the lower bound, and recurses only into the children that
-  pass. At the last level, where a child's depth equals the best size, a
-  child that is not a hitting set needs one element more and is pruned, so
-  there the node asks only whether the element hits every member still
-  unhit, and computes no bound.
+- Settling. A node settles each of its children itself, in one pass over
+  its branch member: it counts the child, ORs the child's element into its
+  hit mask, and records a solution when every member is hit, clearing the
+  solutions kept so far when the child is below the best size. Any other
+  child is bounded and recursed into only if it passes, and only below the
+  last level: where a child's depth equals the best size, a child that is
+  not a hitting set needs one element more, so it is dropped there with no
+  bound computed.
 
 SetSystem alone fixes the member format: a member is the bytes of its
 sorted element indices while the ground has at most 256 elements, their
@@ -75,7 +76,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, groupby
-from operator import lt
+from operator import index, lt
 from typing import Sequence
 
 __all__ = [
@@ -90,6 +91,17 @@ class NodeLimitExceeded(Exception):
     """Raised internally when the search exceeds its node budget."""
 
 
+def _int_tuple(member: Sequence[int]) -> tuple[int, ...]:
+    """member as a tuple of ints, member itself when it already is one.
+
+    Like bytes() over a ground of at most 256 elements, it raises TypeError
+    for an element that is not an integer.
+    """
+    if type(member) is tuple and all(type(e) is int for e in member):
+        return member
+    return tuple(map(index, member))
+
+
 @dataclass(frozen=True)
 class SetSystem:
     """A finite ground set 0..ground_size-1 and a list of nonempty subsets.
@@ -102,7 +114,8 @@ class SetSystem:
     iterate as their ints, and sorted bytes deduplicate, sort and compare
     among themselves exactly as their element tuples do, so the solver gives
     the same result for both kinds; bytes take about a quarter of a tuple's
-    memory.
+    memory. An element that is not an integer raises TypeError over any
+    ground.
     """
 
     ground_size: int
@@ -112,7 +125,8 @@ class SetSystem:
         ground = self.ground_size
         if ground < 0:
             raise ValueError("ground_size must be nonnegative")
-        kind = bytes if ground <= 256 else tuple
+        # A member is packed as bytes, or checked and kept as a tuple of ints.
+        pack = bytes if ground <= 256 else _int_tuple
         norm = []
         for s in self.sets:
             # A sorted tuple, list or bytes of distinct elements is canonical
@@ -125,7 +139,7 @@ class SetSystem:
                     raise ValueError("member sets must be nonempty")
             if s[0] < 0 or s[-1] >= ground:
                 raise ValueError(f"set {list(s)} has elements outside 0..{ground - 1}")
-            norm.append(s if type(s) is kind else kind(s))
+            norm.append(s if type(s) is pack else pack(s))
         object.__setattr__(self, "sets", tuple(norm))
 
 
@@ -287,25 +301,28 @@ def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> S
         # with depth + bound <= best and bound >= 1, and best has dropped
         # since only to the sizes of solutions below it.
         depth += 1
-        children = iter(branch)
-        if depth < best:
-            for e in children:
-                bit = bits[e]
-                if ban & bit:
-                    continue
-                # Banning e already in its own subtree changes nothing there:
-                # every member that holds e is hit.
-                ban |= bit
-                nodes += 1
-                if nodes > limit:
-                    raise NodeLimitExceeded
-                child = hit | cov[e]
-                if child == full:
-                    # A new best; the children left are at the last level.
+        for e in branch:
+            bit = bits[e]
+            if ban & bit:
+                continue
+            # Banning e already in its own subtree changes nothing there:
+            # every member that holds e is hit.
+            ban |= bit
+            nodes += 1
+            if nodes > limit:
+                raise NodeLimitExceeded
+            child = hit | cov[e]
+            if child == full:
+                # A solution; below the best size it is a new best, and the
+                # children left are then at the last level.
+                if depth < best:
                     best = depth
                     solutions.clear()
-                    solutions.append(tuple(sorted([*chosen, e])))
-                    break
+                solutions.append(tuple(sorted([*chosen, e])))
+            elif depth < best:
+                # Only a child below the last level is bounded: at
+                # depth == best, a child that is not a hitting set has a
+                # bound of at least 1, so it is dropped with no bound computed.
                 # Lower bound: each unhit packed member needs its own element,
                 # and an unhit member that meets none of them needs one more.
                 # That member is looked for only when it decides the prune.
@@ -325,18 +342,6 @@ def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> S
                 chosen.append(e)
                 search(child, depth, ban, slots)
                 chosen.pop()
-        # Any children left are at the last level, depth == best. There a
-        # child that is not a hitting set has a bound of at least 1 and is
-        # pruned, so it counts as a node and is kept only as a solution, when
-        # its element alone hits every unhit member.
-        for e in children:
-            if ban & bits[e]:
-                continue
-            nodes += 1
-            if nodes > limit:
-                raise NodeLimitExceeded
-            if cov[e] & unhit == unhit:
-                solutions.append(tuple(sorted([*chosen, e])))
 
     try:
         if nodes > limit:

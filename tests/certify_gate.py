@@ -6,6 +6,12 @@ Exits 1 unless the command exits 0, the peak RSS of this process stays at
 most CEILING_MB, and FILE matches its pin: for `verify`, every report body
 of the range against BODIES; for any other command, the SHA-256 of the
 whole file against OUTPUTS, keyed by the command without --out.
+
+CI's certify job runs the gate lines for m = 2..10 on every push; m = 11
+(about 15.5 minutes and 1.4 GB) runs in the certify-m11 workflow, weekly
+and on demand:
+
+    PYTHONPATH=src python tests/certify_gate.py 1850 verify --m 11 --out certify-m11.jsonl
 """
 
 import hashlib
@@ -27,6 +33,7 @@ BODIES = {
     8: "a5078f1979ba1b827557b0d73d04eaf8d20a2afc2b4f0afad4b744f4c478333d",
     9: "ac21704c9fc1fd89d96fec6667d0012f38158e4a571f7e98507811dae9c895cf",
     10: "3d54ed10ca6f17432e630ea98bb4a069a8553a1cf4848581c52252ef6b50347e",
+    11: "b850cf4e6c969201d171ae00e1320d2bbcbe44a0aebdef04c3eb2ca77fe9ae1f",
 }
 
 OUTPUTS = {

@@ -572,6 +572,13 @@ def test_render_cli_requires_content(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("path", ["0,x", "0,,1", ""])
+def test_render_cli_bad_path_names_its_text(capsys, path):
+    code, out, err = run(capsys, "render", "--m", "3", "--path", path)
+    assert code == 2 and out == ""
+    assert f"bad path text {path!r}" in err
+
+
 def test_render_cli_empty_background_is_domain_error(capsys):
     code, out, err = run(capsys, "render", "--m", "3", "--layer", "0-1", "--background", "")
     assert code == 2 and out == ""

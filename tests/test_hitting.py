@@ -55,6 +55,11 @@ def test_set_system_validation():
     members = iter([[0, 2], [1]])
     assert SetSystem(ground_size=3, sets=members).sets == (b"\x00\x02", b"\x01")
     assert next(members, None) is None
+    # an element that is not an integer fails at construction, whether the
+    # member is packed as bytes or kept as a tuple
+    for ground in (3, 300):
+        with pytest.raises(TypeError):
+            SetSystem(ground_size=ground, sets=[(0.5, 1.5)])
 
 
 @pytest.mark.parametrize("ground, kind", [(256, bytes), (257, tuple)])
@@ -273,10 +278,8 @@ def test_family_system_holds_bytes_members(m, family):
 def test_setup_memory_per_member():
     # The set-up alone (node_limit=0 stops before the first node) sorts one
     # list of the members in place and builds no list of member indices:
-    # about 41 bytes per member of H, against about 75 with two index orders
-    # of fresh ints, and about 160 with a hash set for the deduplication, an
-    # int per weight and both index orders alive at once. The full solve adds
-    # the search's cache of branch orders, each in its member's own kind.
+    # about 41 bytes per member of H. The full solve adds the search's cache
+    # of branch orders, each in its member's own kind.
     system = family_system("shp", Context(7))
     _, peak = _traced_peak(lambda: min_hitting_sets(system, SolverConfig(node_limit=0)))
     assert peak <= 50 * len(system.sets)
@@ -547,3 +550,18 @@ def test_full_size_random_systems_match_the_reference(seed):
     total = _assert_matches_reference(system, SolverConfig().node_limit).nodes
     for limit in random.Random(seed).sample(range(total), 3):
         assert _assert_matches_reference(system, limit).nodes == limit + 1
+
+
+def test_every_node_limit_matches_the_reference():
+    # FALLBACK_GOLDEN seed 2: the greedy cover has 8 elements and the minimum
+    # is 7, found at node 333 with two siblings of that child still to come,
+    # which then sit at the last level. Each limit stops the search at a
+    # different child, before, at and after the new best.
+    system = _random_system(2)
+    total = _assert_matches_reference(system, SolverConfig().node_limit).nodes
+    sizes = set()
+    for limit in range(total + 1):
+        res = _assert_matches_reference(system, limit)
+        assert res.status == ("complete" if limit == total else "incomplete")
+        sizes.add(res.min_size)
+    assert sizes == {8, 7}

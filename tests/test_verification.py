@@ -113,7 +113,7 @@ def test_reports_deterministic(theorem_reports):
 
 
 def test_golden_report_bodies(theorem_reports):
-    # the CI gate pins m = 2..10; the benchmark's certify workload pins
+    # the CI gates pin m = 2..11; the benchmark's certify workload pins
     # m = 2..6 in its own CERTIFY_DIGESTS
     assert sorted(theorem_reports) == list(range(2, 7))
     for m, rep in theorem_reports.items():
