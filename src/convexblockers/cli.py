@@ -23,7 +23,7 @@ from .enumeration import enumerate_shp, enumerate_spm
 from .formula import _spec_of, enumerate_formula_family, parse_blocker_spec, realize
 from .geometry import Context, Edge, SimplePath, format_edge_set, is_simple_hamiltonian_path, parse_edge_set
 from .hitting import SolverConfig, min_hitting_sets
-from .render import Layer, render_svg
+from .render import render_svg
 from .verification import canonical_json, family_system, verify_theorems
 from .witnesses import build_p0, build_p1, build_prop1_path, prop1_special_edges
 
@@ -254,19 +254,19 @@ def _split_style(text: str) -> tuple[str, str]:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     ctx = Context(_need(args, "m"))
-    layers: list[Layer] = []
+    layers: list[tuple[Sequence[Edge], str]] = []
     if args.background is not None:
-        layers.append(Layer(content=frozenset(ctx.all_edges), style=args.background))
+        layers.append((ctx.all_edges, args.background))
     for text in args.layer or []:
         body, style = _split_style(text)
-        layers.append(Layer(content=parse_edge_set(body), style=style))
+        layers.append((sorted(parse_edge_set(body)), style))
     for text in args.path or []:
         body, style = _split_style(text)
         try:
             vertices = tuple(int(v) for v in body.split(","))
         except ValueError:
             raise ValueError(f"bad path text {body!r}, expected integer vertices 'v1,v2,...'") from None
-        layers.append(Layer(content=SimplePath(vertices), style=style))
+        layers.append((SimplePath(tuple(map(ctx.check_vertex, vertices))).edges(), style))
     if not layers:
         raise _UsageError("nothing to draw: give --layer, --path or --background")
     svg = render_svg(ctx.m, layers, show_labels=args.labels, highlight_angles=args.angles)
@@ -299,14 +299,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OverflowError, RecursionError) as exc:  # M nests one generator per chord
+    except (ValueError, OverflowError, RecursionError, OSError) as exc:  # M nests one generator per chord
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except SystemExit as exc:  # argparse --help
         return 0 if exc.code in (None, 0) else EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_DOMAIN

@@ -1,4 +1,4 @@
-"""Deterministic SVG rendering of edge sets and paths on the 2m-gon.
+"""Deterministic SVG rendering of edge sets on the 2m-gon.
 
 Vertices sit on a regular polygon inside a fixed 512x512 viewBox, vertex 0 at
 the top, labels advancing with the drawing angle. Output is a pure function
@@ -10,13 +10,11 @@ witness path) stay legible in black and white.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from html import escape
 from typing import Sequence
 
-from .geometry import Context, Edge, SimplePath, direction
+from .geometry import Context, Edge, direction
 
-__all__ = ["Layer", "render_svg"]
+__all__ = ["render_svg"]
 
 SIZE = 512
 CENTER = SIZE / 2
@@ -31,28 +29,18 @@ STYLES = {
 }
 
 
-@dataclass(frozen=True)
-class Layer:
-    """One drawable: an edge set or a path, with a named style."""
-
-    content: frozenset | SimplePath
-    style: str = "solid"
-    label: str | None = None
-
-
 def _vertex_xy(v: int, n: int, radius: float) -> tuple[float, float]:
     theta = -math.pi / 2 + 2 * math.pi * v / n
     return CENTER + radius * math.cos(theta), CENTER + radius * math.sin(theta)
 
 
-def _layer_edges(layer: Layer) -> list[Edge]:
-    if isinstance(layer.content, SimplePath):
-        return list(layer.content.edges())
-    return sorted(layer.content)
+def render_svg(
+    m: int, layers: Sequence[tuple[Sequence[Edge], str]], show_labels: bool = True, highlight_angles: bool = False
+) -> str:
+    """Render (edges, style) layers on the 2m-gon to an SVG 1.1 document string.
 
-
-def render_svg(m: int, layers: Sequence[Layer], show_labels: bool = True, highlight_angles: bool = False) -> str:
-    """Render layers, in order, on the 2m-gon to an SVG 1.1 document string."""
+    Layers are drawn in the order given, and each layer's edges in its order.
+    """
     ctx = Context(m)
     n = ctx.n
     out = [
@@ -61,23 +49,17 @@ def render_svg(m: int, layers: Sequence[Layer], show_labels: bool = True, highli
         f'<rect width="{SIZE}" height="{SIZE}" fill="#ffffff"/>',
     ]
 
-    for li, layer in enumerate(layers):
-        if layer.style not in STYLES:
-            raise ValueError(f"unknown style {layer.style!r}, expected one of {sorted(STYLES)}")
-        edges = _layer_edges(layer)
+    for li, (edges, style) in enumerate(layers):
+        if style not in STYLES:
+            raise ValueError(f"unknown style {style!r}, expected one of {sorted(STYLES)}")
         for e in edges:
             if not (0 <= e.a < n and 0 <= e.b < n):
                 raise ValueError(f"layer {li} uses vertex labels outside 0..{n - 1}; mixed m?")
-        if isinstance(layer.content, SimplePath):
-            for v in layer.content.vertices:
-                ctx.check_vertex(v)
-        out.append(f"<g>{'' if layer.label is None else f'<title>{escape(layer.label, quote=False)}</title>'}")
+        out.append("<g>")
         for e in edges:
             x1, y1 = _vertex_xy(e.a, n, RADIUS)
             x2, y2 = _vertex_xy(e.b, n, RADIUS)
-            out.append(
-                f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" {STYLES[layer.style]}/>'
-            )
+            out.append(f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" {STYLES[style]}/>')
             if highlight_angles:
                 mx, my = (x1 + x2) / 2, (y1 + y2) / 2
                 out.append(
@@ -95,12 +77,6 @@ def render_svg(m: int, layers: Sequence[Layer], show_labels: bool = True, highli
                 f'<text x="{lx:.2f}" y="{ly:.2f}" font-size="14" text-anchor="middle" '
                 f'dominant-baseline="middle">{v}</text>'
             )
-
-    legend_y = 18
-    for layer in layers:
-        if layer.label:
-            out.append(f'<text x="10" y="{legend_y}" font-size="12">{escape(layer.label, quote=False)} ({layer.style})</text>')
-            legend_y += 16
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -3,9 +3,10 @@
     PYTHONPATH=src python tests/certify_gate.py CEILING_MB COMMAND... --out FILE
 
 Exits 1 unless the command exits 0, the peak RSS of this process stays at
-most CEILING_MB, and FILE matches its pin: for `verify`, every report body
-of the range against BODIES; for any other command, the SHA-256 of the
-whole file against OUTPUTS, keyed by the command without --out.
+most CEILING_MB, and FILE matches its pin: for `verify`, every report of
+the range, which TheoremReport.from_json_dict must accept (its keys and its
+content_hash), and whose body must match BODIES; for any other command, the
+SHA-256 of the whole file against OUTPUTS, keyed by the command without --out.
 
 CI's certify job runs the gate lines for m = 2..10 on every push; m = 11
 (about 15.5 minutes and 1.4 GB) runs in the certify-m11 workflow, weekly
@@ -20,7 +21,7 @@ import resource
 import sys
 import time
 
-from convexblockers import cli
+from convexblockers import TheoremReport, cli
 
 # body_digest of each report: its mathematical content.
 BODIES = {
@@ -40,6 +41,7 @@ OUTPUTS = {
     "enumerate --m 9 --family shp": "b8520ac07d9e1d5676692d3f55577ec0399e53db795d4e794592c5985c5cf783",
     "enumerate --m 12 --family spm": "6ece352af6945291bc55d0c4e0f7d32799f7737e05dd45d5b9de0e2f5ea2ada2",
     "blockers formula --m 8": "1c28ab7857fdd346be88d574c2ce5305e6b5e6d154ea73b242d802c0c0ffa2ec",
+    "render --m 6 --background dotted --layer 0-1,1-2,1-10,2-3,2-5,2-7:bold --path 1,2,0,11,3,10,4,9,5,8,6,7:punctured --angles": "a033164e9f3b1ffa4d2604fd16803fed755cbbd78052336167393548c7c29705",
 }
 
 
@@ -58,8 +60,15 @@ def mismatches(command: list[str], path: str) -> list[str]:
     if command[0] == "verify":
         m_from = int(command[command.index("--m") + 1])
         m_to = int(command[command.index("--to") + 1]) if "--to" in command else m_from
+        got = {}
         with open(path) as fh:
-            got = {report["m"]: body_digest(report) for report in map(json.loads, fh)}
+            for report in map(json.loads, fh):
+                try:
+                    TheoremReport.from_json_dict(report)
+                except ValueError as exc:
+                    got[report["m"]] = f"rejected ({exc})"
+                else:
+                    got[report["m"]] = body_digest(report)
         want = {m: BODIES.get(m, "no pin") for m in range(m_from, m_to + 1)}
         wrong = sorted(m for m in got | want if got.get(m) != want.get(m))
         return [f"m={m}: report body {got.get(m)}, pinned {want.get(m)}" for m in wrong]

@@ -12,7 +12,6 @@ from convexblockers import (
     BlockerSpec,
     Context,
     Edge,
-    Layer,
     SimplePath,
     parse_edge_set,
     realize,
@@ -505,47 +504,39 @@ def test_config_accepts_every_option_kind(tmp_path, capsys):
 def test_render_svg_structure():
     ctx = Context(6)
     layers = [
-        Layer(content=frozenset(ctx.all_edges), style="dotted", label="all edges"),
-        Layer(content=parse_edge_set("0-1,1-2,1-10,2-3,2-5,2-7"), style="bold"),
-        Layer(content=SimplePath((1, 2, 0, 11, 3, 10, 4, 9, 5, 8, 6, 7)), style="punctured"),
+        (ctx.all_edges, "dotted"),
+        (sorted(parse_edge_set("0-1,1-2,1-10,2-3,2-5,2-7")), "bold"),
+        (SimplePath((1, 2, 0, 11, 3, 10, 4, 9, 5, 8, 6, 7)).edges(), "punctured"),
     ]
     svg = render_svg(6, layers)
     root = ET.fromstring(svg)
     assert root.tag.endswith("svg")
     ns = {"s": "http://www.w3.org/2000/svg"}
-    lines = root.findall(".//s:line", ns)
-    assert len(lines) == 66 + 6 + 11
+    groups = root.findall("s:g", ns)
+    assert [len(g.findall("s:line", ns)) for g in groups] == [66, 6, 11]
     texts = root.findall(".//s:text", ns)
     assert len(texts) >= 12  # vertex labels at least
 
 
 def test_render_labels_off():
-    svg = render_svg(2, [Layer(content=parse_edge_set("0-1"), style="solid")], show_labels=False)
+    svg = render_svg(2, [(sorted(parse_edge_set("0-1")), "solid")], show_labels=False)
     root = ET.fromstring(svg)
     ns = {"s": "http://www.w3.org/2000/svg"}
     assert root.findall(".//s:text", ns) == []
 
 
-def test_render_escapes_layer_label():
-    label = "M & H <x>"
-    root = ET.fromstring(render_svg(2, [Layer(content=parse_edge_set("0-1"), label=label)]))
-    ns = {"s": "http://www.w3.org/2000/svg"}
-    assert root.find(".//s:g/s:title", ns).text == label
-    assert f"{label} (solid)" in [t.text for t in root.findall("s:text", ns)]
-
-
 def test_render_rejects_unknown_style():
-    with pytest.raises(ValueError):
-        render_svg(2, [Layer(content=parse_edge_set("0-1"), style="wavy")])
+    with pytest.raises(ValueError, match="unknown style 'wavy'"):
+        render_svg(2, [(sorted(parse_edge_set("0-1")), "wavy")])
 
 
 def test_render_rejects_out_of_range_vertices():
-    with pytest.raises(ValueError):
-        render_svg(2, [Layer(content=parse_edge_set("0-9"), style="solid")])
+    with pytest.raises(ValueError, match="layer 0 uses vertex labels outside 0..3"):
+        render_svg(2, [(sorted(parse_edge_set("0-9")), "solid")])
 
 
 def test_render_deterministic():
-    layers = [Layer(content=parse_edge_set("0-1,2-5"), style="bold")]
+    layers = [(sorted(parse_edge_set("0-1,2-5")), "bold")]
     assert render_svg(3, layers, highlight_angles=True) == render_svg(3, layers, highlight_angles=True)
 
 
@@ -577,6 +568,13 @@ def test_render_cli_bad_path_names_its_text(capsys, path):
     code, out, err = run(capsys, "render", "--m", "3", "--path", path)
     assert code == 2 and out == ""
     assert f"bad path text {path!r}" in err
+
+
+@pytest.mark.parametrize("path", ["9", "1,9"])
+def test_render_cli_names_an_out_of_range_path_vertex(capsys, path):
+    code, out, err = run(capsys, "render", "--m", "3", "--path", path)
+    assert code == 2 and out == ""
+    assert "vertex label 9 out of range 0..5" in err
 
 
 def test_render_cli_empty_background_is_domain_error(capsys):

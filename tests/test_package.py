@@ -15,7 +15,6 @@ PUBLIC_NAMES = [
     "Context",
     "Edge",
     "EdgeSet",
-    "Layer",
     "SetSystem",
     "SimplePath",
     "SolverConfig",

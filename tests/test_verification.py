@@ -126,6 +126,13 @@ def test_golden_report_bodies(theorem_reports):
         ("200", "verify --m 2 --to 4", 0, "output matches its pin"),
         ("1", "verify --m 2 --to 4", 1, "(ceiling 1)"),
         ("200", "blockers formula --m 3", 1, "no pinned output"),
+        (
+            "200",
+            "render --m 6 --background dotted --layer 0-1,1-2,1-10,2-3,2-5,2-7:bold"
+            " --path 1,2,0,11,3,10,4,9,5,8,6,7:punctured --angles",
+            0,
+            "output matches its pin",
+        ),
     ],
 )
 def test_certify_gate(tmp_path, ceiling, command, code, said):
@@ -138,12 +145,17 @@ def test_certify_gate(tmp_path, ceiling, command, code, said):
 
 
 def test_certify_gate_names_each_wrong_or_missing_body(tmp_path, theorem_reports):
-    report = theorem_reports[2].to_json_dict()
-    report["status"] = "fail"
+    # an edited body with m = 3 missing, and a hash that does not match its body
     path = tmp_path / "reports.jsonl"
-    path.write_text(canonical_json(report) + "\n")
-    wrong = mismatches(["verify", "--m", "2", "--to", "3"], str(path))
-    assert [line.split(":")[0] for line in wrong] == ["m=2", "m=3"]
+    for field, value, command, named in [
+        ("status", "fail", ["verify", "--m", "2", "--to", "3"], ["m=2", "m=3"]),
+        ("content_hash", "0" * 64, ["verify", "--m", "2"], ["m=2"]),
+    ]:
+        report = theorem_reports[2].to_json_dict()
+        report[field] = value
+        path.write_text(canonical_json(report) + "\n")
+        wrong = mismatches(command, str(path))
+        assert [line.split(":")[0] for line in wrong] == named, field
 
 
 def test_passes_matches_status(theorem_reports):
