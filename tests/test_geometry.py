@@ -4,6 +4,8 @@ import itertools
 import math
 import pickle
 import sys
+import weakref
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +17,7 @@ from convexblockers import (
     SimplePath,
     crosses,
     direction,
+    enumerate_shp,
     format_edge_set,
     is_boundary,
     is_noncrossing_path,
@@ -208,6 +211,53 @@ def test_simple_path_basics():
     # construction never validates; the predicates do
     assert not is_noncrossing_path(SimplePath((1, 2, 1)), Context(3))
     assert not is_noncrossing_path(SimplePath(()), Context(3))
+
+
+# How each path is built, its vertices, and the kind that stores them: bytes
+# when every vertex is an int in 0..255, a tuple otherwise.
+PATH_CASES = {
+    "enumerated": (lambda: list(enumerate_shp(Context(3)))[17], (1, 0, 2, 3, 5, 4), bytes),
+    "tuple": (lambda: SimplePath((4, 5, 6, 7, 3)), (4, 5, 6, 7, 3), bytes),
+    "list": (lambda: SimplePath([5, 1, 4, 0]), (5, 1, 4, 0), bytes),
+    "bytes": (lambda: SimplePath(b"\x02\x00\x01"), (2, 0, 1), bytes),
+    "above a byte": (lambda: SimplePath((0, 300)), (0, 300), tuple),
+    "negative": (lambda: SimplePath((-1, 2)), (-1, 2), tuple),
+    "not ints": (lambda: SimplePath(("a", "b")), ("a", "b"), tuple),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PATH_CASES))
+def test_simple_path_record(case):
+    make, vs, kind = PATH_CASES[case]
+    p = make()
+    assert type(p) is SimplePath and type(p._vs) is kind and not hasattr(p, "__dict__")
+    assert type(p.vertices) is tuple and p.vertices == vs
+    assert p.edges() == tuple(Edge(a, b) for a, b in zip(vs, vs[1:]))
+    assert p.edge_set() == frozenset(p.edges())
+    c = p.canonical()
+    assert c.vertices == min(vs, vs[::-1]) and type(c._vs) is kind
+    assert (c is p) == (vs <= vs[::-1])
+    # equality and hash go by vertices, whatever built the path
+    q = SimplePath(vs)
+    assert p == q == SimplePath(vertices=list(vs)) and hash(p) == hash(q)
+    assert p != SimplePath(vs[::-1]) and p != vs
+    for name in ("vertices", "_vs", "label"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(p, name, vs)
+    with pytest.raises(FrozenInstanceError):
+        del p._vs
+    assert p.vertices == vs
+    back = pickle.loads(pickle.dumps(p))
+    assert back == p and type(back._vs) is kind and pickle.dumps(p) == pickle.dumps(q)
+    assert weakref.ref(p)() is p
+    assert repr(p) == f"SimplePath(vertices={vs!r})" == repr(q)
+
+
+def test_simple_path_labels_equal_as_ints_are_one_path():
+    # (True, 2) is stored as a tuple, (1, 2) as bytes: equal vertices, so one path
+    p, q = SimplePath((True, 2)), SimplePath((1, 2))
+    assert type(p._vs) is tuple and type(q._vs) is bytes
+    assert p == q and hash(p) == hash(q) and len({p, q}) == 1
 
 
 def test_path_degenerate_step_raises_every_time():

@@ -156,6 +156,13 @@ def test_certify_gate_names_each_wrong_or_missing_body(tmp_path, theorem_reports
         path.write_text(canonical_json(report) + "\n")
         wrong = mismatches(command, str(path))
         assert [line.split(":")[0] for line in wrong] == named, field
+    # a line that is not a report is named by its number, and the m it
+    # should have held is still missing
+    good = canonical_json(theorem_reports[2].to_json_dict())
+    for text in ["not json", '{"status":"pass"}', "[2]"]:
+        path.write_text(f"{good}\n{text}\n")
+        wrong = mismatches(["verify", "--m", "2", "--to", "3"], str(path))
+        assert [line.split(":")[0] for line in wrong] == ["line 2", "m=3"], text
 
 
 def test_passes_matches_status(theorem_reports):
