@@ -99,11 +99,9 @@ def enumerate_shp(ctx: Context) -> Iterator[SimplePath]:
     do. Readings are sorted per start, which is their first vertex, so the
     starts in turn give the global order. Each start's paths are yielded as
     soon as its readings are sorted, so only one start's readings are held
-    next to the offset table. Each path stores its reading as it is, the
-    bytes form of SimplePath, so a caller that holds the paths holds about
-    104 bytes per path at m = 7 and 108 at m = 9. The cap 2m <= 256 is
-    checked at the call, not at the first next(), so nothing is built for
-    an m beyond it.
+    next to the offset table. Each path is SimplePath(reading). The cap
+    2m <= 256 is checked at the call, not at the first next(), so nothing is
+    built for an m beyond it.
     """
     if ctx.n > 256:
         raise ValueError(f"H is enumerated with vertex offsets as bytes, so 2m <= 256; got m={ctx.m}")
@@ -114,20 +112,13 @@ def _shp_paths(n: int) -> Iterator[SimplePath]:
     """enumerate_shp's paths of the n-gon, for n <= 256."""
     by_end = _offsets_by_end(n)
     offsets = bytes(range(n))
-    # SimplePath(b) with bytes b stores b as is, and a reading is already
-    # the bytes of its vertices; skip __init__ and set the one slot the way
-    # it does.
-    new, set_slot = object.__new__, object.__setattr__
     for start in range(n):
         rotation = bytes.maketrans(offsets, offsets[start:] + offsets[:start])
         readings: list[bytes] = []
         for end in range(1, n - start):
             readings += map(bytes.translate, by_end[end], repeat(rotation))
         readings.sort()
-        for vertices in readings:
-            path = new(SimplePath)
-            set_slot(path, "_vs", vertices)
-            yield path
+        yield from map(SimplePath, readings)
 
 
 def canonical_spm_family(ctx: Context) -> list[EdgeSet]:

@@ -100,9 +100,11 @@ class TheoremReport:
     def from_json_dict(cls, d: dict) -> "TheoremReport":
         """The report d holds.
 
-        ValueError when d misses a key or has one the report does not, or when
-        its content_hash does not match its body.
+        ValueError when d is not a dict, misses a key or has one the report
+        does not, or when its content_hash does not match its body.
         """
+        if not isinstance(d, dict):
+            raise ValueError(f"report: expected a JSON object, got {type(d).__name__}")
         names = {f.name for f in fields(cls)} | {"content_hash"}
         missing, unknown = sorted(names - d.keys()), sorted(d.keys() - names)
         if missing or unknown:

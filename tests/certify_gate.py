@@ -42,6 +42,7 @@ OUTPUTS = {
     "enumerate --m 9 --family shp": "b8520ac07d9e1d5676692d3f55577ec0399e53db795d4e794592c5985c5cf783",
     "enumerate --m 12 --family spm": "6ece352af6945291bc55d0c4e0f7d32799f7737e05dd45d5b9de0e2f5ea2ada2",
     "blockers formula --m 8": "1c28ab7857fdd346be88d574c2ce5305e6b5e6d154ea73b242d802c0c0ffa2ec",
+    "blockers exact --m 12 --family spm": "28c7570c0b8ddaf29c0b0b45c3dfd8dfab34ee8ac4d27dfb633ed81203ee3d43",
     "render --m 6 --background dotted --layer 0-1,1-2,1-10,2-3,2-5,2-7:bold --path 1,2,0,11,3,10,4,9,5,8,6,7:punctured --angles": "a033164e9f3b1ffa4d2604fd16803fed755cbbd78052336167393548c7c29705",
 }
 

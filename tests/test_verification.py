@@ -107,6 +107,12 @@ def test_report_with_missing_or_unknown_key_is_rejected(theorem_reports, key):
         TheoremReport.from_json_dict(d)
 
 
+@pytest.mark.parametrize("value", [[2], "x", 3, None])
+def test_report_that_is_not_an_object_is_rejected(value):
+    with pytest.raises(ValueError, match=f"expected a JSON object, got {type(value).__name__}"):
+        TheoremReport.from_json_dict(value)
+
+
 def test_reports_deterministic(theorem_reports):
     fresh = verify_theorems(3)
     assert canonical_json(fresh.to_json_dict()) == canonical_json(theorem_reports[3].to_json_dict())
