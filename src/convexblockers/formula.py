@@ -19,8 +19,8 @@ reads the spec back off an edge set. Every shape check lives here and never
 calls the generator: each looks only at an edge set (tree, crossings,
 caterpillar spine, root monotonicity, one edge per odd direction, one boundary
 run), so it can judge solver output that never saw the formula. The run check
-and the spine read boundary edges as the positions they step from
-(geometry._boundary_steps); the reader reads each diagonal from the run start.
+and the spine read the boundary edges as their maximal runs
+(geometry._boundary_runs); the reader reads each diagonal from the run start.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .geometry import (
     Edge,
     EdgeSet,
     _any_crossing,
-    _boundary_steps,
+    _boundary_runs,
     _edge,
     direction,
     rotate,
@@ -117,8 +117,24 @@ def iter_blocker_specs(ctx: Context) -> Iterator[BlockerSpec]:
                 yield BlockerSpec(r=r, t=t, epsilons=eps)
 
 
+# enumerate_formula_family holds every member at once, about 1.3 kB each at
+# m = 14, so it refuses an m whose 2m * 2^(m-2) members exceed this cap:
+# the family is realized up to m = 14 (114,688 members).
+_MAX_FORMULA_MEMBERS = 1 << 17
+_MAX_FORMULA_M = max(m for m in range(2, 32) if 2 * m * 2 ** (m - 2) <= _MAX_FORMULA_MEMBERS)
+
+
 def enumerate_formula_family(ctx: Context) -> list[EdgeSet]:
-    """All realized members, deduplicated and canonically sorted."""
+    """All realized members, deduplicated and canonically sorted.
+
+    Raises ValueError, before realizing any, when the family at ctx.m has
+    more than _MAX_FORMULA_MEMBERS members, decided by m alone.
+    """
+    if ctx.m > _MAX_FORMULA_M:
+        raise ValueError(
+            f"the caterpillar family at m={ctx.m} has more than {_MAX_FORMULA_MEMBERS} members, "
+            f"the most realized at once (m <= {_MAX_FORMULA_M})"
+        )
     return sorted({realize(spec, ctx) for spec in iter_blocker_specs(ctx)}, key=sorted)
 
 
@@ -194,16 +210,14 @@ def validate_structure(s: EdgeSet, ctx: Context) -> CaterpillarReport:
         is_caterpillar = len(adj) - leaves == diameter - 1
 
         # A path of boundary edges steps around the circle in one direction,
-        # so the all-boundary longest paths are the windows of `diameter`
-        # consecutive steps. A run of steps is a path of the tree, no longer
-        # than the diameter, so each window is a whole run and starts one.
-        steps = _boundary_steps(s, ctx)
+        # so it lies in one run of them. A run is a path of the tree, no
+        # longer than the diameter, so the all-boundary longest paths are the
+        # runs of exactly `diameter` edges.
         readings = []
-        for p in steps:
-            if diameter >= 2 and (p - 1) % n not in steps:
-                path = [v % n for v in range(p, p + diameter + 1)]
-                if steps.issuperset(path[:-1]):
-                    readings.append(min(path, path[::-1]))
+        for p, t in _boundary_runs(s, ctx):
+            if t == diameter >= 2:
+                path = [v % n for v in range(p, p + t + 1)]
+                readings.append(min(path, path[::-1]))
         boundary_spine = tuple(min(readings)) if readings else None
 
     return CaterpillarReport(
@@ -219,12 +233,8 @@ def _boundary_run(s: EdgeSet, ctx: Context) -> tuple[int, int] | None:
 
     The run is v0, v0 + 1, ..., v0 + t mod 2m.
     """
-    n = ctx.n
-    positions = _boundary_steps(s, ctx)
-    if len(positions) < 2:
-        return None
-    starts = [x for x in positions if (x - 1) % n not in positions]
-    return (starts[0], len(positions)) if len(starts) == 1 else None
+    runs = _boundary_runs(s, ctx)
+    return runs[0] if len(runs) == 1 and runs[0][1] >= 2 else None
 
 
 def _by_odd_direction(s: EdgeSet, ctx: Context) -> dict[int, Edge] | None:

@@ -10,7 +10,7 @@ to points.
 A label outside 0..2m-1 is read one of three ways, and each rule reads it
 the same way:
 - arithmetic reduces it mod 2m: direction, order, is_boundary, the boundary
-  steps, crosses, rotate and reflect (so crosses raises ValueError for a
+  runs, crosses, rotate and reflect (so crosses raises ValueError for a
   chord whose ends are one vertex mod 2m, as Edge(a, a) does);
 - validators raise ValueError: Context.edge_index, Context.edge_at,
   Context.check_vertex, formula.validate_structure and render.render_svg;
@@ -192,10 +192,16 @@ def is_boundary(e: Edge, ctx: Context) -> bool:
     return order(e, ctx) == 1
 
 
-def _boundary_steps(s: Iterable[Edge], ctx: Context) -> set[int]:
-    """The positions p whose boundary edge [p, p + 1 mod 2m] lies in s."""
+def _boundary_runs(s: Iterable[Edge], ctx: Context) -> list[tuple[int, int]]:
+    """Each maximal run of boundary edges [p, p+1], ..., [p+t-1, p+t] (mod 2m) in s, as (p, t).
+
+    A full circle of 2m boundary edges has no first edge and gives none.
+    """
     n = ctx.n
-    return {(e.a if (e.b - e.a) % n == 1 else e.b) % n for e in s if is_boundary(e, ctx)}
+    steps = {(e.a if (e.b - e.a) % n == 1 else e.b) % n for e in s if is_boundary(e, ctx)}
+    starts = [p for p in steps if (p - 1) % n not in steps]
+    # A run from p ends at the first step p + t that s lacks.
+    return [(p, next(t for t in range(1, n) if (p + t) % n not in steps)) for p in starts]
 
 
 def crosses(e1: Edge, e2: Edge, ctx: Context) -> bool:

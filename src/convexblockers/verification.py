@@ -6,8 +6,9 @@ verify_theorems(m) re-derives everything from scratch and cross-compares:
      paths) with the fast enumerators; family_system streams each straight
      into its SetSystem over dense edge indices, the one form a family is
      held in, and `blockers exact` builds its system the same way. Each
-     member goes in as a sorted list of indices, and SetSystem alone
-     decides how it is stored;
+     member goes in as its edge indices in any order, and SetSystem alone
+     orders them and decides how they are stored. A family too large to
+     hold is refused before it is enumerated;
   2. hand both systems to the geometry-blind exact solver to get all minimum
      blockers;
   3. generate the explicit caterpillar family;
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Sequence
 
@@ -56,15 +58,27 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+# family_system holds a whole family, so it refuses an m whose family has
+# more members than this: M has Catalan(m) members and H has m * 4^(m-1),
+# so M is held up to m = 15 and H up to m = 11 (11,534,336 paths).
+_MAX_FAMILY_MEMBERS = 1 << 24
+_MAX_M = {
+    "spm": max(m for m in range(2, 32) if math.comb(2 * m, m) // (m + 1) <= _MAX_FAMILY_MEMBERS),
+    "shp": max(m for m in range(2, 32) if m * 4 ** (m - 1) <= _MAX_FAMILY_MEMBERS),
+}
+
+
 def family_system(family: str, ctx: Context) -> SetSystem:
     """The SetSystem of one family of ctx: "spm" or "shp", over its dense edge indices.
 
     The enumerator is streamed into SetSystem one member at a time: each
-    edge set (a path's, for H) is freed once it has become its sorted edge
-    indices, and ctx's edge table is first read when the first member
-    arrives. Dense index order is canonical edge order, so the sorted
+    edge set (a path's, for H) is freed once it has become its edge indices,
+    which SetSystem sorts, and ctx's edge table is first read when the first
+    member arrives. Dense index order is canonical edge order, so the sorted
     indices list the edges as sorted() does. Any other family name raises
-    ValueError.
+    ValueError, and so does an m whose family has more than
+    _MAX_FAMILY_MEMBERS members, decided by m alone before any member is
+    built; enumerate_shp's own cap on m is checked first.
     """
     if family == "spm":
         sets = enumerate_spm(ctx)
@@ -72,7 +86,12 @@ def family_system(family: str, ctx: Context) -> SetSystem:
         sets = (p.edge_set() for p in enumerate_shp(ctx))
     else:
         raise ValueError(f"unknown family {family!r}, expected 'spm' or 'shp'")
-    return SetSystem(ctx.num_edges, (sorted(map(ctx.edge_index, s)) for s in sets))
+    if ctx.m > _MAX_M[family]:
+        raise ValueError(
+            f"family {family} at m={ctx.m} has more than {_MAX_FAMILY_MEMBERS} members, "
+            f"the most a set system is built from (m <= {_MAX_M[family]})"
+        )
+    return SetSystem(ctx.num_edges, (map(ctx.edge_index, s) for s in sets))
 
 
 @dataclass(frozen=True)

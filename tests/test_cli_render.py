@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import sys
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -107,6 +108,38 @@ def test_shp_beyond_byte_offsets_is_domain_error(capsys, monkeypatch, argv):
         assert err == f"error: H is enumerated with vertex offsets as bytes, so 2m <= 256; got m={m}\n"
 
 
+FORMULA_REFUSAL = "the caterpillar family at m={} has more than 131072 members, the most realized at once (m <= 14)"
+SYSTEM_REFUSAL = "family {} at m={} has more than 16777216 members, the most a set system is built from (m <= {})"
+H_REFUSAL = SYSTEM_REFUSAL.format("shp", 12, 11)
+
+
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (("blockers", "formula", "--m", "40"), FORMULA_REFUSAL.format(40)),
+        (("blockers", "formula", "--m", "2000000000"), FORMULA_REFUSAL.format(2000000000)),
+        (("verify", "--m", "12"), H_REFUSAL),
+        (("blockers", "exact", "--m", "12", "--family", "shp"), H_REFUSAL),
+    ],
+)
+def test_family_too_large_to_hold_is_refused_at_once(capsys, argv, refusal):
+    # the refusal is decided by m alone, before any member is built
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - started < 2
+    assert (code, out, err) == (2, "", f"error: {refusal}\n")
+
+
+def test_verify_keeps_the_reports_before_a_refused_m(capsys, monkeypatch, tmp_path):
+    # a family cap of H at m = 3 stands in for the real one at m = 11
+    monkeypatch.setitem(verification._MAX_M, "shp", 3)
+    out_file = tmp_path / "reports.jsonl"
+    code, out, err = run(capsys, "verify", "--m", "2", "--to", "5", "--out", str(out_file))
+    assert code == 2 and out == ""
+    assert err.endswith(f"error: {SYSTEM_REFUSAL.format('shp', 4, 3)}\n")
+    assert [json.loads(line)["m"] for line in out_file.read_text().splitlines()] == [2, 3]
+
+
 def test_out_of_memory_is_domain_error(capsys, monkeypatch):
     def exhaust(*args, **kwargs):
         raise MemoryError
@@ -120,19 +153,19 @@ def test_too_deep_recursion_is_domain_error(capsys, monkeypatch):
     # M's enumerator nests one generator per chord, so from m = 992 on the
     # default recursion limit stops it before its first matching. Each level
     # slices a range, not a copy of the vertices, and the edge table is read
-    # only for a first member, so even m = 2000000000 fails at once
-    code, out, err = run(capsys, "enumerate", "--m", "992", "--family", "spm", "--count-only")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
-
+    # only for a first member, so even m = 2000000000 fails at once. A set
+    # system of M is refused by its member cap before any of this starts.
     def work(*args, **kwargs):
         raise AssertionError("edge table built before M's first member")
 
     monkeypatch.setattr(Context, "all_edges", property(work))
     for m in ("992", "5000", "2000000000"):
-        code, out, err = run(capsys, "blockers", "exact", "--family", "spm", "--m", m)
+        code, out, err = run(capsys, "enumerate", "--m", m, "--family", "spm", "--count-only")
         assert code == 2 and out == ""
         assert err.startswith("error: maximum recursion depth exceeded") and "Traceback" not in err
+        code, out, err = run(capsys, "blockers", "exact", "--family", "spm", "--m", m)
+        assert code == 2 and out == ""
+        assert err == f"error: {SYSTEM_REFUSAL.format('spm', m, 15)}\n"
 
 
 # --------------------------------------------------------------- enumerate

@@ -30,6 +30,7 @@ from convexblockers import (
     validate_structure,
 )
 from convexblockers.formula import _spec_of
+from convexblockers.geometry import _boundary_runs
 from oracles import hits_all, one_boundary_run, one_per_odd_direction, validate_structure_all_pairs
 
 KNOWN_12GON_BLOCKER = "0-1,1-2,1-10,2-3,2-5,2-7"
@@ -343,10 +344,10 @@ def test_direction_sweep_accepts_exactly_formula_family_sampled(case):
 @st.composite
 def profiled_edge_sets(draw):
     """(m, kind, vertex pairs) on the 2m-gon. A boundary run that wraps past
-    vertex 0, two runs, or a single boundary edge, each with up to three
-    random diagonals; one edge per odd direction class; or that plus a
-    second edge of one class (a repeated direction)."""
-    kind = draw(st.sampled_from(["wrap", "two_runs", "single", "odd", "repeat"]))
+    vertex 0, two runs, a single boundary edge, or all 2m boundary edges,
+    each with up to three random diagonals; one edge per odd direction
+    class; or that plus a second edge of one class (a repeated direction)."""
+    kind = draw(st.sampled_from(["wrap", "two_runs", "single", "circle", "odd", "repeat"]))
     m = draw(st.integers(3, 7))
     n = 2 * m
     ctx = Context(m)
@@ -367,12 +368,18 @@ def profiled_edge_sets(draw):
         second = draw(st.integers(1, n - first - gap - 1))
         start = draw(st.integers(0, n - 1))
         offsets = [*range(first), *range(first + gap, first + gap + second)]
-    else:
+    elif kind == "single":
         start, offsets = draw(st.integers(0, n - 1)), [0]
+    else:
+        start, offsets = 0, range(n)
     steps = [(start + i) % n for i in offsets]
     diagonals = [(a, b) for a, b in itertools.combinations(range(n), 2) if 1 < b - a < n - 1]
     pairs = {(min(p, (p + 1) % n), max(p, (p + 1) % n)) for p in steps}
     return m, kind, pairs | set(draw(st.lists(st.sampled_from(diagonals), max_size=3)))
+
+
+# The number of boundary runs each boundary kind of profiled_edge_sets draws.
+BOUNDARY_RUNS = {"wrap": 1, "two_runs": 2, "single": 1, "circle": 0}
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -380,11 +387,18 @@ def profiled_edge_sets(draw):
 def test_profile_checks_match_plain_oracles(case):
     m, kind, pairs = case
     n, ctx = 2 * m, Context(m)
-    if kind in ("wrap", "two_runs", "single"):
+    s = frozenset(Edge(a, b) for a, b in pairs)
+    if kind in BOUNDARY_RUNS:
         assert one_boundary_run(pairs, n) == (kind == "wrap")
+        # the runs cover every boundary edge but a full circle's, and both
+        # readers of the runs agree with the oracles
+        runs = _boundary_runs(s, ctx)
+        boundary = sum(1 for a, b in pairs if (b - a) % n in (1, n - 1))
+        assert len(runs) == BOUNDARY_RUNS[kind]
+        assert sum(t for _, t in runs) == (0 if kind == "circle" else boundary)
+        assert validate_structure(s, ctx) == validate_structure_all_pairs(pairs, n), format_edge_set(s)
     if kind == "repeat":
         assert not one_per_odd_direction(pairs, n)
-    s = frozenset(Edge(a, b) for a, b in pairs)
     assert check_one_per_odd_direction(s, ctx) == one_per_odd_direction(pairs, n), format_edge_set(s)
     assert check_boundary_edges_consecutive(s, ctx) == one_boundary_run(pairs, n), format_edge_set(s)
 
