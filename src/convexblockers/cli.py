@@ -209,6 +209,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_INCOMPLETE if "inconclusive" in statuses else EXIT_OK
 
 
+# witness and render build work that grows with m before they write a
+# byte: a witness path lists all 2m vertices, a figure draws them, and
+# render --background draws all m(2m - 1) edges too. So each refuses an m
+# whose path or figure would hold more than this many of those vertices and
+# edges, decided by m and --background alone before anything is built; the
+# edges of --layer and --path are bounded by their own text.
+_MAX_DRAWN = 1 << 16
+_MAX_DRAWN_M = _MAX_DRAWN // 2
+_MAX_BACKGROUND_M = max(m for m in range(2, 256) if 2 * m + m * (2 * m - 1) <= _MAX_DRAWN)
+
+
+def _check_drawn(what: str, m: int, background: bool = False) -> None:
+    if background:
+        what, items, largest = f"{what} with --background", "vertices and edges", _MAX_BACKGROUND_M
+    else:
+        items, largest = "vertices", _MAX_DRAWN_M
+    if m > largest:
+        raise ValueError(f"{what} at m={m} holds more than {_MAX_DRAWN} {items}, the most built at once (m <= {largest})")
+
+
 # Each witness kind: its builder and the options, besides --m, that are its
 # keyword arguments, in the order they are asked for. The witness parser has
 # one integer option per name, in order of first use.
@@ -221,6 +241,7 @@ _WITNESSES = {
 
 def _cmd_witness(args: argparse.Namespace) -> int:
     ctx = Context(_need(args, "m"))
+    _check_drawn("a witness path", ctx.m)
     build, names = _WITNESSES[args.kind]
     params = {"m": ctx.m, **{name: _need(args, name) for name in names}}
     path = build(**params)
@@ -254,6 +275,7 @@ def _split_style(text: str) -> tuple[str, str]:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     ctx = Context(_need(args, "m"))
+    _check_drawn("a figure", ctx.m, args.background is not None)
     layers: list[tuple[Sequence[Edge], str]] = []
     if args.background is not None:
         layers.append((ctx.all_edges, args.background))

@@ -9,11 +9,13 @@ The search is one branch and bound, sound by packing duality alone. Before
 it starts, it packs pairwise-disjoint members greedily in order of
 increasing weight (the sum of the member's element frequencies).
 
-- Order. Members are deduplicated and ordered by (size, descending weight,
-  tuple), so the first unhit member is a smallest one whose elements hit
-  the most other members. Its elements are tried most frequent first, ties
-  by index. Both orders are read off the set system alone, so equal
-  systems are searched identically.
+- Order. Members are deduplicated and put into classes by (size,
+  descending weight), each class in sorted member order. The search order
+  is the classes in that key order, so the first unhit member is a
+  smallest one whose elements hit the most other members; the packing
+  scans the classes by weight, then by size. A branch member's elements
+  are tried most frequent first, ties by index. Every order is read off
+  the set system alone, so equal systems are searched identically.
 - Branching. It branches on the elements e1..er of the first unhit member,
   and branch i bans e1..e(i-1) for its whole subtree. Every hitting set
   below a node meets that member, and lies below only the branch of its
@@ -48,18 +50,19 @@ members, deduplicates them, sorts them and takes their lengths, and sorted
 bytes do each of these as their index tuples do, so both kinds give the
 same order, packing, nodes and solutions; solutions are always tuples.
 
-Besides the members themselves, the set-up holds three lists with one
-entry per member: the distinct members, sorted in place into the search
-order; their weights, which the same sorts keep in step; and a copy of the
-members in packing order, freed once the packing (of members, not
-indices) is taken. The search adds its cache of branch orders. No list of
-member indices is built: its entries would be fresh ints, about 36 bytes
-a member on 64-bit CPython. Equal weights share one int: a geometric
-family has few (16 among the 589,824 members of H at m = 9). The coverage
-masks are filled as bytearray rows, only for elements some member holds,
-and each row is converted to its mask and freed before the next. The
-set-up then peaks at about 42 bytes per member above the system; a bytes
-member of H takes 56.
+The set-up holds each distinct member in two lists at most: the sorted
+list of distinct members, while the classes are filled, then the classes
+while the member list in search order is chained from them. The classes
+go once the packing (of members, not indices) is taken. No per-member
+weight or index outlives its class key: a class key is one tuple per
+class, and a geometric family has few classes (16 among the 589,824
+members of H at m = 9). The coverage masks are filled as bytearray rows,
+only for elements some member holds, and each row is converted to its
+mask and freed before the next. So the set-up peaks at its end, holding
+the member list, one coverage bit per member and held element, and the
+search's empty cache of branch orders: on CPython 3.10 to 3.13, about 31
+bytes per member of H at m = 7 and 39 at m = 9 above the system; a bytes
+member of H takes 56. The search fills the cache of branch orders.
 
 Search state lives in Python big-int bitmasks over member indices and
 packing positions, which keeps the per-node cost at a handful of word
@@ -72,11 +75,10 @@ search that enters every child and checks it there.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, groupby
-from operator import index, lt
+from operator import index, itemgetter, lt
 from typing import Sequence
 
 __all__ = [
@@ -197,13 +199,14 @@ def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> S
     """Exact minimum-size hitting sets of a set system, all of them.
 
     One branch and bound over the min-weight packing (see the module
-    docstring). It branches on the first unhit member in (size, descending
-    weight, tuple) order and tries its elements most frequent first; each
-    branch bans the elements its earlier siblings took, so every hitting set
-    is reached at most once, whatever the order. It prunes a node when the
-    depth plus the packing bound exceeds the best size seen, keeps every
-    hitting set of that size, and starts over when it finds a smaller one.
-    Solutions are sorted tuples, in sorted order.
+    docstring). It branches on the first unhit member, the members taken by
+    (size, descending weight) class and each class in sorted order, and
+    tries its elements most frequent first; each branch bans the elements
+    its earlier siblings took, so every hitting set is reached at most
+    once, whatever the order. It prunes a node when the depth plus the
+    packing bound exceeds the best size seen, keeps every hitting set of
+    that size, and starts over when it finds a smaller one. Solutions are
+    sorted tuples, in sorted order.
     """
     if config is None:
         config = SolverConfig()
@@ -211,36 +214,34 @@ def min_hitting_sets(system: SetSystem, config: SolverConfig | None = None) -> S
         raise ValueError("set system has no member sets")
 
     # Deduplicate the members (identical ones are redundant for hitting) by
-    # dropping adjacent repeats once sorted, with no hash set of them all, and
-    # order them by (size, descending weight, tuple), a member's weight being
-    # the sum of its elements' frequencies: the first unhit member is then a
-    # smallest one whose elements hit the most other members.
+    # dropping adjacent repeats once sorted, with no hash set of them all.
+    # Each member joins the class of its (size, -weight), a member's weight
+    # being the sum of its elements' frequencies, and each class keeps the
+    # sorted order. The search order is the classes in key order: the first
+    # unhit member is a smallest one whose elements hit the most other members.
     members = [s for s, _ in groupby(sorted(system.sets))]
     freq = Counter(chain.from_iterable(members))
     held = sorted(freq)
-    # Equal weights share one int (a family has few distinct weights).
-    shared: dict[int, int] = {}
-    weights = [shared.setdefault(w, w) for w in (sum(map(freq.__getitem__, s)) for s in members)]
-    del shared
-    # Stable sorts, in place, over parallel key lists: CPython's list.sort
-    # computes every key, in list order, before it moves an item, so a key
-    # that takes the next item of a parallel list gives each member its own
-    # weight or size. Sorting the weights by the same keys keeps them in step.
-    members.sort(key=partial(next, iter(weights)), reverse=True)
-    weights.sort(reverse=True)
-    weights.sort(key=partial(next, map(len, members)))
-    members.sort(key=len)
+    classes: defaultdict[tuple[int, int], list] = defaultdict(list)
+    for s in members:
+        classes[len(s), -sum(map(freq.__getitem__, s))].append(s)
+    del members
+    keys = sorted(classes)
+    members = list(chain.from_iterable(map(classes.__getitem__, keys)))
 
     # Min-weight packing: pairwise-disjoint members taken greedily by (weight,
     # search order). Members of rarely used elements block few others, so
     # taking them first tends to pack more members than a scan in search order.
+    # Sorting the keys by descending -weight keeps them in size order among
+    # equal weights (a reversed sort is still stable).
+    keys.sort(key=itemgetter(1), reverse=True)
     used: set[int] = set()
     packing = []
-    for s in sorted(members, key=partial(next, iter(weights))):
+    for s in chain.from_iterable(map(classes.__getitem__, keys)):
         if used.isdisjoint(s):
             used.update(s)
             packing.append(s)
-    del weights, used
+    del classes, keys, used
     k = len(members)
     full = (1 << k) - 1
     cov = _coverage(members, system.ground_size, held)

@@ -140,6 +140,58 @@ def test_verify_keeps_the_reports_before_a_refused_m(capsys, monkeypatch, tmp_pa
     assert [json.loads(line)["m"] for line in out_file.read_text().splitlines()] == [2, 3]
 
 
+DRAWN_REFUSAL = "{} at m={} holds more than 65536 {}, the most built at once (m <= {})"
+
+
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (("render", "--m", "2000000000", "--layer", "0-1"), DRAWN_REFUSAL.format("a figure", 2000000000, "vertices", 32768)),
+        (("render", "--m", "32769", "--path", "0,1"), DRAWN_REFUSAL.format("a figure", 32769, "vertices", 32768)),
+        (
+            ("render", "--m", "100000", "--background", "dotted"),
+            DRAWN_REFUSAL.format("a figure with --background", 100000, "vertices and edges", 180),
+        ),
+        (
+            ("render", "--m", "181", "--background", "dotted", "--layer", "0-1"),
+            DRAWN_REFUSAL.format("a figure with --background", 181, "vertices and edges", 180),
+        ),
+        (
+            ("witness", "p0", "--m", "2000000000", "--j", "0", "--s", "0", "--t", "1"),
+            DRAWN_REFUSAL.format("a witness path", 2000000000, "vertices", 32768),
+        ),
+        (
+            ("witness", "prop1", "--m", "32769", "--k", "2", "--i", "1"),
+            DRAWN_REFUSAL.format("a witness path", 32769, "vertices", 32768),
+        ),
+    ],
+)
+def test_figure_or_witness_too_large_is_refused_at_once(capsys, monkeypatch, argv, refusal):
+    # decided by m and --background alone: no vertex, edge or path is built
+    def work(*args, **kwargs):
+        raise AssertionError("work started beyond the drawing bound")
+
+    monkeypatch.setattr(cli, "render_svg", work)
+    monkeypatch.setattr(Context, "all_edges", property(work))
+    for kind, (_, names) in cli._WITNESSES.items():
+        monkeypatch.setitem(cli._WITNESSES, kind, (work, names))
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - started < 1
+    assert (code, out, err) == (2, "", f"error: {refusal}\n")
+
+
+def test_drawing_bound_is_the_largest_m_that_fits():
+    # 2m vertices, and with a background 2m + m(2m - 1) vertices and edges
+    assert 2 * cli._MAX_DRAWN_M == cli._MAX_DRAWN
+    m = cli._MAX_BACKGROUND_M
+    assert m * (2 * m + 1) <= cli._MAX_DRAWN < (m + 1) * (2 * m + 3)
+    for background, largest in ((False, cli._MAX_DRAWN_M), (True, m)):
+        cli._check_drawn("a figure", largest, background)
+        with pytest.raises(ValueError, match=f"m <= {largest}"):
+            cli._check_drawn("a figure", largest + 1, background)
+
+
 def test_out_of_memory_is_domain_error(capsys, monkeypatch):
     def exhaust(*args, **kwargs):
         raise MemoryError

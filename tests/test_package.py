@@ -59,10 +59,10 @@ PUBLIC_NAMES = [
 # Public names that no module of the package uses yet, each with the
 # ROADMAP item that plans its caller.
 AWAITING_CALLER = {
-    "canonical_shp_family": "item 2: the disjoint packing that proves the lower bound for H",
-    "canonical_spm_family": "item 2: the disjoint packing that proves the lower bound for M",
-    "is_simple_perfect_matching": "item 9: the membership predicate of the M oracle",
-    "reflect": "items 2 and 6: the dihedral closure check and the symmetry generators",
+    "canonical_shp_family": "item 1: the packing that starts the working subfamily W of H",
+    "canonical_spm_family": "item 1: the packing that starts the working subfamily W of M",
+    "is_simple_perfect_matching": "item 1: the check of each member the M oracle returns",
+    "reflect": "items 2 and 7: the dihedral closure check and the symmetry generators",
 }
 
 
